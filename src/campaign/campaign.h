@@ -6,7 +6,9 @@
 //   * scenario-level concurrency (common/ThreadPool; each scenario owns
 //     its simulator, so scenarios are independent),
 //   * a resumable on-disk OutcomeStore — with `resume` set, scenarios
-//     whose fingerprint is already stored load instead of executing,
+//     whose fingerprint is already stored load instead of executing —
+//     written through a pipelined group commit (one fsync per batch of
+//     finished scenarios, overlapped with the next ones' execution),
 //   * a dry-run mode that only plans (no execution, no store writes),
 //   * keep-going vs fail-fast error policy.
 // Results come back in scenario order whatever the concurrency, so
@@ -74,7 +76,10 @@ struct ScenarioRun {
   Status status = Status::Planned;
   tuner::TuningOutcome outcome;  ///< valid for Executed/Cached
   std::string error;             ///< valid for Failed
-  double seconds = 0.0;          ///< wall time of the execution (0 otherwise)
+  /// Wall time of execution plus the store append (0 otherwise); the
+  /// batch fsync that makes the outcome durable is charged to the
+  /// campaign wall time, not here.
+  double seconds = 0.0;
   /// Execution attempts made (retries included); 0 for Planned/Cached.
   /// Volatile — lands in status.json, never in runs.csv/summary.json.
   int attempts = 0;
@@ -114,7 +119,13 @@ class CampaignRunner {
   /// The outcome store under options().output_dir.
   const OutcomeStore& store() const { return store_; }
 
-  /// Execute (or plan, or resume) the scenario list.
+  /// Execute (or plan, or resume) the scenario list. Executed outcomes
+  /// are appended to the store by the workers and made durable by one
+  /// committer thread that syncs a batch at a time; `on_scenario` fires
+  /// for an executed scenario only after its outcome is durable, and
+  /// run() returns (or throws) only after the final sync. A failed sync
+  /// turns its batch into Failed runs under keep_going and is rethrown
+  /// otherwise.
   CampaignResult run(const std::vector<Scenario>& scenarios,
                      const ScenarioCallback& on_scenario = {}) const;
 

@@ -372,11 +372,12 @@ CampaignResult merge_shards(const std::vector<std::string>& shard_dirs,
         raise("conflicting outcomes for fingerprint " + fp + ": " + source +
               " differs from the copy already merged into " + output_dir);
     } else {
-      merged_store.save_payload(fp, bytes);
+      merged_store.append_payload(fp, bytes);
       ++merged_records;
     }
     merged_bytes.emplace(fp, std::move(bytes));
   }
+  merged_store.sync();  // one fsync for the whole merge
 
   // 4. Reconstruct the campaign-ordered result from the merged records
   //    (and the manifests, for failures). Loading by the *stored*

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -143,9 +144,13 @@ class OutcomeStoreBackend {
   /// Raw stored payload bytes; nullopt when absent or damaged.
   virtual std::optional<std::string> payload(
       const std::string& fingerprint) = 0;
-  /// First-write-wins byte-compare persist; see the header.
-  virtual void save_payload(const std::string& fingerprint,
-                            const std::string& payload) = 0;
+  /// First-write-wins byte-compare append, visible to readers on
+  /// return; durable once sync() returns. See the header.
+  virtual void append_payload(const std::string& fingerprint,
+                              const std::string& payload) = 0;
+  /// Make every append made before the call durable. A no-op for
+  /// backends whose appends are already durable.
+  virtual void sync() {}
   /// Every well-formed (fingerprint, payload), sorted by fingerprint.
   virtual std::vector<std::pair<std::string, std::string>> load_all() = 0;
 
@@ -189,8 +194,10 @@ class DirBackend : public OutcomeStoreBackend {
     return text;
   }
 
-  void save_payload(const std::string& fingerprint,
-                    const std::string& payload) override {
+  // Appends are durable on return (fsynced before the name is
+  // published), so sync() is the base class no-op.
+  void append_payload(const std::string& fingerprint,
+                      const std::string& payload) override {
     // Directories appear on the first write, so opening a store (or
     // planning a dry run) never touches the filesystem.
     std::error_code mkdir_ec;
@@ -269,27 +276,36 @@ class DirBackend : public OutcomeStoreBackend {
 //   <payload>\n
 //
 // Records only ever land at the end of the log, under an exclusive
-// flock, fsynced before the writer returns. A crash mid-append leaves a
-// torn tail: readers scan records sequentially and stop at the first
-// frame that does not decode (short header, bad magic, payload running
-// past EOF, missing trailing newline), so a torn tail reads as "those
-// scenarios are absent" — exactly the job-journal discipline. The next
-// save truncates the torn bytes and appends from the clean boundary.
-// A record whose frame is intact but whose payload bytes are damaged is
-// superseded by appending a fresh record for the same fingerprint; the
-// latest decodable record for a fingerprint wins.
+// flock; sync() fsyncs the log up to the last append. A crash
+// mid-append (or before the fsync) leaves a torn tail: readers scan
+// records sequentially and stop at the first frame that does not decode
+// (short header, bad magic, payload running past EOF, missing trailing
+// newline), so a torn tail reads as "those scenarios are absent" —
+// exactly the job-journal discipline. The next append truncates the
+// torn bytes and appends from the clean boundary. A record whose frame
+// is intact but whose payload bytes are damaged is superseded by
+// appending a fresh record for the same fingerprint; the latest
+// decodable record for a fingerprint wins.
+//
+// Records before the clean end are never rewritten (the log is
+// append-only, and truncation only cuts a torn tail past the last clean
+// boundary), so a writer that scanned the log once only scans what other
+// writers appended since: O(1) work per append. It rescans from offset 0
+// only when its cache came from the index, the log shrank below the
+// clean end it knows, or the log file was replaced (a different inode
+// at the path).
 //
 // outcomes.idx is a disposable cache: one "<fingerprint> <offset>
-// <payload-bytes>" line per record, appended in steady state so a
-// reopening reader can prime its map with one sequential read instead of
-// seeking through every record header. Readers validate it cheaply
-// (strictly increasing offsets from 0, deep-check of the final entry
-// against the log) and fall back to scanning the log wherever it falls
-// short; a lying entry is caught at payload-read time (the record header
-// is re-verified) and triggers one full rescan. Writers rebuild it from
-// the log and publish by atomic rename whenever appending is unsafe
-// (first save of a process, after a tail truncation, concurrent-writer
-// drift).
+// <payload-bytes>" line per durable record, appended one batch per
+// sync() in steady state so a reopening reader can prime its map with
+// one sequential read instead of seeking through every record header.
+// Readers validate it cheaply (strictly increasing offsets from 0,
+// deep-check of the final entry against the log) and fall back to
+// scanning the log wherever it falls short; a lying entry is caught at
+// payload-read time (the record header is re-verified) and triggers one
+// full rescan. Writers rebuild it from the log and publish by atomic
+// rename whenever appending is unsafe (first sync of a process, after a
+// tail truncation, concurrent-writer drift).
 
 constexpr const char* kRecordMagic = "hmpt1";
 constexpr std::uint64_t kMaxHeaderBytes = 128;
@@ -383,39 +399,17 @@ class PackedBackend : public OutcomeStoreBackend {
     return std::nullopt;
   }
 
-  void save_payload(const std::string& fingerprint,
-                    const std::string& payload) override {
+  void append_payload(const std::string& fingerprint,
+                      const std::string& payload) override {
     HMPT_REQUIRE(fingerprint.find_first_of(" \t\r\n") == std::string::npos,
                  "packed store fingerprint must be a single token");
     std::lock_guard<std::mutex> lock(mutex_);
-    // The store appears on the first write, like the dir format.
-    std::error_code mkdir_ec;
-    fs::create_directories(directory_, mkdir_ec);
-    if (mkdir_ec)
-      raise("cannot create outcome store at " + directory_ + ": " +
-            mkdir_ec.message());
-
+    if (sync_error_) raise(*sync_error_);
+    // Under the writer lock the log cannot move, and the cache is caught
+    // up with it: the decision below is made against the authoritative
+    // state, not a possibly-stale index.
+    const WriterLock writer = lock_writer_locked();
     const std::string log = log_path();
-    const int fd = ::open(log.c_str(), O_RDWR | O_CREAT, 0644);
-    if (fd < 0)
-      raise("cannot open outcome log " + log + ": " + std::strerror(errno));
-    struct LockGuard {
-      int fd;
-      ~LockGuard() {
-        ::flock(fd, LOCK_UN);
-        ::close(fd);
-      }
-    } guard{fd};
-    while (::flock(fd, LOCK_EX) != 0) {
-      if (errno != EINTR)
-        raise("cannot lock outcome log " + log + ": " +
-              std::strerror(errno));
-    }
-
-    // Under the writer lock the log cannot move: rescan it end to end so
-    // the decision below is made against the authoritative state, not a
-    // possibly-stale index.
-    rescan_locked();
     const auto it = records_.find(fingerprint);
     if (it != records_.end()) {
       std::ifstream in(log, std::ios::binary);
@@ -423,7 +417,12 @@ class PackedBackend : public OutcomeStoreBackend {
       if (in.good())
         existing =
             read_record_payload(in, seen_size_, fingerprint, it->second);
-      if (existing && *existing == payload) return;  // same-race no-op
+      if (existing && *existing == payload) {
+        // Same-race no-op; the record may be another writer's still
+        // unsynced append, so the next sync() covers it too.
+        appended_end_ = std::max(appended_end_, good_end_);
+        return;
+      }
       if (existing && parse_outcome_payload(*existing, fingerprint, nullptr))
         raise("conflicting outcome for fingerprint " + fingerprint + ": " +
               log +
@@ -432,14 +431,13 @@ class PackedBackend : public OutcomeStoreBackend {
       // the packed analogue of the dir store's quarantine-and-retry.
     }
 
-    bool index_stale = false;
     if (good_end_ < seen_size_) {
       // Torn tail from a crash mid-append: cut the log back to the last
       // clean record boundary before appending.
-      if (::ftruncate(fd, static_cast<off_t>(good_end_)) != 0)
+      if (::ftruncate(writer.fd, static_cast<off_t>(good_end_)) != 0)
         raise("cannot truncate torn tail of " + log + ": " +
               std::strerror(errno));
-      index_stale = true;
+      index_stale_ = true;
     }
 
     const std::uint64_t offset = good_end_;
@@ -447,29 +445,43 @@ class PackedBackend : public OutcomeStoreBackend {
                                fingerprint + " " +
                                std::to_string(payload.size()) + "\n" +
                                payload + "\n";
-    pwrite_all(fd, record, offset, log);
-    if (::fsync(fd) != 0)
-      raise("cannot fsync outcome log " + log + ": " + std::strerror(errno));
-    records_[fingerprint] = Record{offset, payload.size()};
+    pwrite_all(writer.fd, record, offset, log);
+    const Record appended{offset, payload.size()};
+    records_[fingerprint] = appended;
     good_end_ = offset + record.size();
+    unindexed_.push_back(Unindexed{fingerprint, appended, good_end_});
     seen_size_ = good_end_;
+    appended_end_ = good_end_;
+  }
 
-    // Index maintenance: append in steady state; rebuild and publish by
-    // atomic rename when appending would be unsafe (unknown on-disk
-    // state on the first save of this process, drift from a concurrent
-    // writer, entries past a truncated tail). The index is a cache — no
-    // fsync on the append path.
-    const std::string line = fingerprint + " " + std::to_string(offset) +
-                             " " + std::to_string(payload.size()) + "\n";
-    std::error_code ec;
-    const auto index_size = fs::file_size(index_path(), ec);
-    if (!index_stale && index_expected_size_ && !ec &&
-        index_size == *index_expected_size_) {
-      append_file(index_path(), line);
-      *index_expected_size_ += line.size();
-    } else {
-      rebuild_index_locked();
+  void sync() override {
+    std::shared_ptr<const LogFile> file;
+    std::uint64_t target = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (sync_error_) raise(*sync_error_);
+      if (!log_ || appended_end_ <= synced_end_) return;
+      file = log_;
+      target = appended_end_;
     }
+    // The fsync runs outside the mutex so appends keep landing while it
+    // waits on the disk; whatever they add is the next sync's batch.
+    if (::fsync(file->fd) != 0) {
+      // Never retried: after a failed fsync the kernel may have dropped
+      // the dirty pages, so a later "successful" fsync would prove
+      // nothing. Every later append and sync fails with this error.
+      const std::string error = "cannot fsync outcome log " + log_path() +
+                                ": " + std::strerror(errno);
+      std::lock_guard<std::mutex> lock(mutex_);
+      sync_error_ = error;
+      raise(error);
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    // A log replaced meanwhile took those records with it; the new file
+    // has its own bookkeeping.
+    if (file != log_) return;
+    synced_end_ = std::max(synced_end_, target);
+    publish_index_locked();
   }
 
   std::vector<std::pair<std::string, std::string>> load_all() override {
@@ -492,6 +504,33 @@ class PackedBackend : public OutcomeStoreBackend {
   struct Record {
     std::uint64_t offset = 0;        ///< record (header) start in the log
     std::uint64_t payload_size = 0;  ///< payload bytes (frame adds header+\n)
+  };
+
+  /// The writer's open log, kept for the backend's lifetime. Shared so a
+  /// sync() fsyncing outside the mutex keeps the descriptor alive when an
+  /// append swaps in a replaced log meanwhile.
+  struct LogFile {
+    int fd = -1;
+    dev_t device = 0;
+    ino_t inode = 0;
+    LogFile() = default;
+    LogFile(const LogFile&) = delete;
+    LogFile& operator=(const LogFile&) = delete;
+    ~LogFile() {
+      if (fd >= 0) ::close(fd);
+    }
+  };
+
+  /// The cross-process writer flock on the current log, released on
+  /// scope exit.
+  struct WriterLock {
+    int fd;
+    explicit WriterLock(int locked_fd) : fd(locked_fd) {}
+    WriterLock(WriterLock&& other) noexcept : fd(other.fd) { other.fd = -1; }
+    WriterLock& operator=(WriterLock&&) = delete;
+    ~WriterLock() {
+      if (fd >= 0) ::flock(fd, LOCK_UN);
+    }
   };
 
   std::string log_path() const {
@@ -539,6 +578,12 @@ class PackedBackend : public OutcomeStoreBackend {
     ::close(fd);
   }
 
+  static std::string index_line(const std::string& fingerprint,
+                                const Record& record) {
+    return fingerprint + " " + std::to_string(record.offset) + " " +
+           std::to_string(record.payload_size) + "\n";
+  }
+
   /// Read and verify the payload of `record`: the header at its offset
   /// must re-confirm fingerprint and size, the payload must be fully
   /// present, the trailing newline intact. nullopt on any mismatch.
@@ -582,6 +627,89 @@ class PackedBackend : public OutcomeStoreBackend {
     return at;
   }
 
+  /// Open the log (creating the store directory and the file) for this
+  /// backend's writes. Requires mutex_.
+  void open_log_locked() {
+    // The store appears on the first write, like the dir format.
+    std::error_code mkdir_ec;
+    fs::create_directories(directory_, mkdir_ec);
+    if (mkdir_ec)
+      raise("cannot create outcome store at " + directory_ + ": " +
+            mkdir_ec.message());
+    const std::string log = log_path();
+    auto file = std::make_shared<LogFile>();
+    file->fd = ::open(log.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    if (file->fd < 0)
+      raise("cannot open outcome log " + log + ": " + std::strerror(errno));
+    struct stat st {};
+    if (::fstat(file->fd, &st) != 0)
+      raise("cannot stat outcome log " + log + ": " + std::strerror(errno));
+    file->device = st.st_dev;
+    file->inode = st.st_ino;
+    log_ = std::move(file);
+  }
+
+  /// Forget everything tied to the previous log file: its records, what
+  /// was appended and synced to it, what its index holds. Requires mutex_.
+  void forget_log_locked() {
+    log_.reset();
+    primed_ = false;
+    scanned_ = false;
+    appended_end_ = 0;
+    synced_end_ = 0;
+    unindexed_.clear();
+    indexed_end_ = 0;
+    index_expected_size_.reset();
+    index_stale_ = false;
+  }
+
+  /// Take the cross-process writer flock on the log at the store's path
+  /// and catch the cache up with it. A log replaced or removed under us
+  /// (the store directory deleted and recreated) is detected by inode and
+  /// reopened, so no write lands in an unlinked file. Requires mutex_.
+  WriterLock lock_writer_locked() {
+    const std::string log = log_path();
+    for (;;) {
+      if (!log_) open_log_locked();
+      while (::flock(log_->fd, LOCK_EX) != 0) {
+        if (errno != EINTR)
+          raise("cannot lock outcome log " + log + ": " +
+                std::strerror(errno));
+      }
+      struct stat st {};
+      if (::stat(log.c_str(), &st) == 0 && st.st_dev == log_->device &&
+          st.st_ino == log_->inode)
+        break;
+      ::flock(log_->fd, LOCK_UN);
+      forget_log_locked();
+    }
+    WriterLock writer(log_->fd);
+
+    struct stat st {};
+    if (::fstat(writer.fd, &st) != 0)
+      raise("cannot stat outcome log " + log + ": " + std::strerror(errno));
+    const auto size = static_cast<std::uint64_t>(st.st_size);
+    if (!scanned_ || size < good_end_) {
+      rescan_locked();
+      // Appending on an unread log would overwrite its records.
+      if (!scanned_)
+        raise("cannot read outcome log " + log + ": " +
+              std::strerror(errno));
+      return writer;
+    }
+    if (good_end_ < size) {
+      // Clean records before good_end_ never change: scan only what was
+      // appended (or torn) since.
+      std::ifstream in(log, std::ios::binary);
+      if (!in.good())
+        raise("cannot read outcome log " + log + ": " +
+              std::strerror(errno));
+      good_end_ = scan_records(in, good_end_, size, records_);
+    }
+    seen_size_ = size;
+    return writer;
+  }
+
   /// Authoritative cache rebuild: scan the whole log. Requires mutex_.
   void rescan_locked() {
     std::error_code ec;
@@ -592,11 +720,13 @@ class PackedBackend : public OutcomeStoreBackend {
     good_end_ = 0;
     seen_size_ = size;
     primed_ = true;
+    scanned_ = true;
     if (size == 0) return;
     std::ifstream log(log_path(), std::ios::binary);
     if (!log.good()) {
       // Transient open failure: stay unprimed so the next call retries.
       primed_ = false;
+      scanned_ = false;
       seen_size_ = 0;
       return;
     }
@@ -616,6 +746,9 @@ class PackedBackend : public OutcomeStoreBackend {
     good_end_ = 0;
     seen_size_ = size;
     primed_ = true;
+    // Index entries are trusted, not re-verified: the next append
+    // rescans the log before deciding anything.
+    scanned_ = false;
     if (size == 0) return;
     std::ifstream log(log_path(), std::ios::binary);
     if (!log.good()) {
@@ -679,19 +812,54 @@ class PackedBackend : public OutcomeStoreBackend {
     good_end_ = scan_records(log, scan_from, size, records_);
   }
 
-  /// Rewrite the index from the in-memory map (offset order) and publish
-  /// it by atomic rename. Requires mutex_ and a current cache.
+  /// Index the records the last fsync made durable: append their lines
+  /// in one write while the index is exactly what this backend last left
+  /// and the records directly follow what it covers; otherwise rebuild
+  /// it from the caught-up cache. The index never describes a record past
+  /// the synced end. Requires mutex_.
+  void publish_index_locked() {
+    const WriterLock writer = lock_writer_locked();
+    if (synced_end_ == 0) return;  // the log was replaced: nothing durable
+    const auto durable = std::partition_point(
+        unindexed_.begin(), unindexed_.end(),
+        [&](const Unindexed& entry) {
+          return entry.record.offset < synced_end_;
+        });
+    std::string lines;
+    std::uint64_t end = indexed_end_;
+    bool contiguous = true;
+    for (auto it = unindexed_.begin(); it != durable; ++it) {
+      contiguous = contiguous && it->record.offset == end;
+      lines += index_line(it->fingerprint, it->record);
+      end = it->end;
+    }
+    std::error_code ec;
+    const auto index_size = fs::file_size(index_path(), ec);
+    if (!index_stale_ && contiguous && index_expected_size_ && !ec &&
+        index_size == *index_expected_size_) {
+      if (!lines.empty()) append_file(index_path(), lines);
+      *index_expected_size_ += lines.size();
+      indexed_end_ = end;
+    } else {
+      rebuild_index_locked();
+    }
+    unindexed_.erase(unindexed_.begin(), durable);
+  }
+
+  /// Rewrite the index from the in-memory map (offset order, records
+  /// below the synced end) and publish it by atomic rename. Requires
+  /// mutex_ and a caught-up cache.
   void rebuild_index_locked() {
-    std::vector<std::pair<std::string, Record>> entries(records_.begin(),
-                                                        records_.end());
+    std::vector<std::pair<std::string, Record>> entries;
+    for (const auto& entry : records_)
+      if (entry.second.offset < synced_end_) entries.push_back(entry);
     std::sort(entries.begin(), entries.end(),
               [](const auto& a, const auto& b) {
                 return a.second.offset < b.second.offset;
               });
     std::string content;
     for (const auto& [fingerprint, record] : entries)
-      content += fingerprint + " " + std::to_string(record.offset) + " " +
-                 std::to_string(record.payload_size) + "\n";
+      content += index_line(fingerprint, record);
     const std::string tmp = scratch_name(index_path());
     write_durable(tmp, content);
     if (::rename(tmp.c_str(), index_path().c_str()) != 0) {
@@ -701,17 +869,39 @@ class PackedBackend : public OutcomeStoreBackend {
             std::strerror(err));
     }
     index_expected_size_ = content.size();
+    indexed_end_ = synced_end_;
+    index_stale_ = false;
   }
 
   std::mutex mutex_;
   bool primed_ = false;            ///< cache reflects some log state
+  /// The cache came from scanning the log (under the writer lock or not),
+  /// not from the index: a writer may catch up incrementally.
+  bool scanned_ = false;
   std::uint64_t seen_size_ = 0;    ///< log size the cache reflects
   std::uint64_t good_end_ = 0;     ///< end of the last decodable record
   std::map<std::string, Record> records_;
+
+  std::shared_ptr<const LogFile> log_;  ///< open on the first append
+  std::uint64_t appended_end_ = 0;  ///< log end after our last append
+  std::uint64_t synced_end_ = 0;    ///< log end our last fsync covered
+  /// Set by a failed fsync; every later append and sync throws it.
+  std::optional<std::string> sync_error_;
+
+  /// One of our appended records whose index line is not written yet.
+  struct Unindexed {
+    std::string fingerprint;
+    Record record;
+    std::uint64_t end = 0;  ///< log offset just past the record's frame
+  };
+  std::vector<Unindexed> unindexed_;  ///< log order
+  /// Log offset just past the last record our index lines cover.
+  std::uint64_t indexed_end_ = 0;
   /// Index size after our last write; appends are only safe while the
   /// on-disk size still matches (otherwise another writer or a
   /// truncation intervened and the index is rebuilt).
   std::optional<std::uint64_t> index_expected_size_;
+  bool index_stale_ = false;  ///< a tail truncation outdated the index
 };
 
 }  // namespace
@@ -769,10 +959,18 @@ std::optional<tuner::TuningOutcome> OutcomeStore::load_by_fingerprint(
   return outcome;
 }
 
+void OutcomeStore::append(const Scenario& scenario,
+                          const tuner::TuningOutcome& outcome) const {
+  backend_->append_payload(scenario.fingerprint(),
+                           make_payload(scenario, outcome));
+}
+
+void OutcomeStore::sync() const { backend_->sync(); }
+
 void OutcomeStore::save(const Scenario& scenario,
                         const tuner::TuningOutcome& outcome) const {
-  backend_->save_payload(scenario.fingerprint(),
-                         make_payload(scenario, outcome));
+  append(scenario, outcome);
+  sync();
 }
 
 std::optional<std::string> OutcomeStore::payload(
@@ -780,10 +978,10 @@ std::optional<std::string> OutcomeStore::payload(
   return backend_->payload(fingerprint);
 }
 
-void OutcomeStore::save_payload(const std::string& fingerprint,
-                                const std::string& payload) const {
+void OutcomeStore::append_payload(const std::string& fingerprint,
+                                  const std::string& payload) const {
   HMPT_REQUIRE(!fingerprint.empty(), "outcome fingerprint must be non-empty");
-  backend_->save_payload(fingerprint, payload);
+  backend_->append_payload(fingerprint, payload);
 }
 
 std::vector<std::pair<std::string, std::string>>

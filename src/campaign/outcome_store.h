@@ -26,10 +26,28 @@
 //     rename when stale). One file per scenario stops scaling around
 //     10^5 scenarios — the packed log keeps fleet-scale campaigns to two
 //     files and gives the aggregator/merger one sequential bulk load.
-//     Appends are fsynced under an exclusive flock; a torn tail from a
-//     crash mid-append is skipped on load (the same discipline as the
-//     service job journal) and truncated away by the next save, so
-//     re-execution repairs it.
+//     Appends land under an exclusive flock and cost O(1) however long
+//     the log is; a torn tail from a crash mid-append is skipped on load
+//     (the same discipline as the service job journal) and truncated
+//     away by the next append, so re-execution repairs it.
+//
+// Writes are split in two steps, the same for both formats:
+//
+//   * append() makes a record visible to every reader of the store and
+//     runs the first-write-wins conflict check (under the flock for
+//     packed stores). It is durable at once for dir stores; for packed
+//     stores it is durable only after the next sync().
+//   * sync() makes every record appended before the call durable: one
+//     fsync of the log, however many records it covers (a no-op for dir
+//     stores, and when nothing was appended since the last sync). A
+//     failed fsync is never retried: the error sticks, and every later
+//     append() and sync() on the store throws it.
+//
+// save() is append() followed by sync(), so a record is durable when
+// save() returns. A batch writer (the campaign runner, hmpt_merge)
+// appends many records and syncs once; a record lost to a crash before
+// its sync reads as absent and is re-executed — never wrong, since
+// outcomes are deterministic.
 //
 // Both formats store identical payload bytes for identical outcomes, so
 // a store can be converted losslessly between formats (hmpt_merge reads
@@ -98,11 +116,21 @@ class OutcomeStore {
   /// like load().
   std::optional<tuner::TuningOutcome> load_by_fingerprint(
       const std::string& fingerprint) const;
-  /// Persist a finished scenario. First complete write of a fingerprint
-  /// wins; a racing identical write is a silent no-op, a differing one
-  /// throws hmpt::Error (see the file comment).
+  /// Persist a finished scenario durably: append() then sync(). First
+  /// complete write of a fingerprint wins; a racing identical write is a
+  /// silent no-op, a differing one throws hmpt::Error (see the file
+  /// comment).
   void save(const Scenario& scenario,
             const tuner::TuningOutcome& outcome) const;
+  /// Add a finished scenario's record, visible to readers and
+  /// conflict-checked like save(), but durable only once sync() returns
+  /// (at once for dir stores).
+  void append(const Scenario& scenario,
+              const tuner::TuningOutcome& outcome) const;
+  /// Make every record appended before the call durable (one fsync of a
+  /// packed log; a no-op for dir stores). Throws hmpt::Error when the
+  /// fsync fails, and keeps throwing it: a failed fsync is never retried.
+  void sync() const;
 
   // Payload-level access: the raw stored document bytes, identical
   // across formats for identical outcomes. This is the merge/report
@@ -112,11 +140,12 @@ class OutcomeStore {
   /// The stored payload bytes of a fingerprint; nullopt when absent or
   /// structurally damaged.
   std::optional<std::string> payload(const std::string& fingerprint) const;
-  /// Store raw payload bytes under a fingerprint with the same
-  /// first-write-wins byte-compare semantics as save(). The caller owns
+  /// Append raw payload bytes under a fingerprint with the same
+  /// first-write-wins byte-compare semantics as append(): visible and
+  /// conflict-checked, durable after the next sync(). The caller owns
   /// payload/fingerprint consistency (merge copies validated records).
-  void save_payload(const std::string& fingerprint,
-                    const std::string& payload) const;
+  void append_payload(const std::string& fingerprint,
+                      const std::string& payload) const;
   /// Bulk load of every (fingerprint, payload) in the store, sorted by
   /// fingerprint — one sequential pass for packed stores, one directory
   /// walk for dir stores. Damaged records are skipped.

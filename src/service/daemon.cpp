@@ -162,8 +162,12 @@ void Daemon::teardown() {
   // Stop accepting, finish every admitted job, then disconnect. Order
   // matters: the scheduler drains before sockets die so watchers see
   // their last completions, then the shutdown event, then EOF.
-  if (listener_.has_value()) listener_->close();
+  // The accept thread may still be polling the listener: wake it with
+  // shutdown(2), which leaves the descriptor alone, and close only once
+  // it is joined, so its fd is never written or reused under it.
+  if (listener_.has_value()) listener_->shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listener_.has_value()) listener_->close();
   if (metrics_thread_.joinable()) metrics_thread_.join();
   scheduler_->shutdown();
   // One last snapshot after the drain so short-lived daemons (lifetime <

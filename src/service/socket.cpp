@@ -190,6 +190,8 @@ std::optional<Socket> Listener::accept_for(int timeout_ms) {
   return Socket(fd);
 }
 
+void Listener::shutdown() const { socket_.shutdown_both(); }
+
 void Listener::close() {
   if (socket_.valid() && endpoint_.is_unix())
     ::unlink(endpoint_.unix_path.c_str());

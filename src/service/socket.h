@@ -104,6 +104,12 @@ class Listener {
   /// transient accept failure. Throws nothing.
   std::optional<Socket> accept_for(int timeout_ms);
 
+  /// Wake a thread waiting in accept_for() (it returns nullopt) and fail
+  /// every later accept. Leaves the descriptor open, so it is safe while
+  /// another thread is still inside accept_for(); close() once that
+  /// thread is joined.
+  void shutdown() const;
+
   void close();
 
  private:

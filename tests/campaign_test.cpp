@@ -33,6 +33,13 @@ std::string json_of(const tuner::TuningOutcome& outcome) {
   return tuner::outcome_to_json(outcome).dump(-1);
 }
 
+std::string file_bytes(const fs::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  return bytes.str();
+}
+
 /// A fresh store directory per test, removed on scope exit.
 class StoreDir {
  public:
@@ -572,6 +579,20 @@ class PackedStoreTest : public ::testing::Test {
   static std::uintmax_t log_size(const std::string& dir) {
     return fs::file_size(fs::path(dir) / "outcomes.log");
   }
+  /// Start offset of every record in a packed log, plus its end.
+  static std::vector<std::uintmax_t> record_boundaries(
+      const std::string& dir) {
+    std::ifstream log(fs::path(dir) / "outcomes.log", std::ios::binary);
+    std::vector<std::uintmax_t> boundaries{0};
+    std::string magic, fingerprint;
+    std::uintmax_t payload = 0;
+    while (log >> magic >> fingerprint >> payload) {
+      log.ignore(1);  // the header's '\n'
+      log.seekg(static_cast<std::streamoff>(payload + 1), std::ios::cur);
+      boundaries.push_back(static_cast<std::uintmax_t>(log.tellg()));
+    }
+    return boundaries;
+  }
 };
 
 TEST_F(PackedStoreTest, SavesLoadsAndMatchesTheDirFormatRecordForRecord) {
@@ -690,6 +711,73 @@ TEST_F(PackedStoreTest, TornTailIsSkippedOnLoadAndRepairedByReexecution) {
   const OutcomeStore reread = OutcomeStore::open_existing(dir.path());
   EXPECT_EQ(reread.load_all_payloads().size(), 2u);
   EXPECT_EQ(json_of(*reread.load(s1)), json_of(o1));
+
+  // Power loss during a campaign: the log keeps a prefix of its records,
+  // cut at a record boundary or inside a record, while the (unsynced)
+  // index may still describe records past the cut. --resume must
+  // re-execute exactly the lost scenarios, and the artefacts must come
+  // out byte-identical to an uninterrupted run.
+  StoreDir whole("hmpt_packed_cut_whole");
+  std::vector<Scenario> scenario_list;
+  for (int reps = 1; reps <= 6; ++reps)
+    scenario_list.push_back(scenario_with_reps(reps));
+  CampaignOptions options;
+  options.output_dir = whole.path();
+  options.store_format = StoreFormat::Packed;
+  const auto cold = CampaignRunner(options).run(scenario_list);
+  ASSERT_EQ(cold.executed, static_cast<int>(scenario_list.size()));
+  write_artifacts(cold, whole.path());
+  const std::string runs_csv =
+      file_bytes(fs::path(whole.path()) / "runs.csv");
+  const std::string summary =
+      file_bytes(fs::path(whole.path()) / "summary.json");
+
+  // Serial, so record k holds scenario k.
+  const auto boundaries = record_boundaries(whole.path());
+  ASSERT_EQ(boundaries.size(), scenario_list.size() + 1);
+  ASSERT_EQ(boundaries.back(), log_size(whole.path()));
+
+  // Cuts across the last four records: at each record boundary, and
+  // inside each record's header, payload and trailing newline.
+  std::vector<std::uintmax_t> cuts;
+  for (std::size_t k = scenario_list.size() - 4; k < scenario_list.size();
+       ++k) {
+    cuts.push_back(boundaries[k]);
+    cuts.push_back(boundaries[k] + 10);
+    cuts.push_back((boundaries[k] + boundaries[k + 1]) / 2);
+    cuts.push_back(boundaries[k + 1] - 1);
+  }
+  cuts.push_back(boundaries.back());
+
+  for (const auto cut : cuts) {
+    SCOPED_TRACE("log cut at byte " + std::to_string(cut));
+    StoreDir crashed("hmpt_packed_cut");
+    fs::create_directories(crashed.path());
+    for (const char* name : {"outcomes.log", "outcomes.idx"})
+      fs::copy_file(fs::path(whole.path()) / name,
+                    fs::path(crashed.path()) / name);
+    fs::resize_file(fs::path(crashed.path()) / "outcomes.log", cut);
+
+    CampaignOptions resume = options;
+    resume.output_dir = crashed.path();
+    resume.resume = true;
+    const auto resumed = CampaignRunner(resume).run(scenario_list);
+    ASSERT_TRUE(resumed.ok());
+    for (std::size_t k = 0; k < scenario_list.size(); ++k) {
+      const bool lost = boundaries[k + 1] > cut;
+      EXPECT_EQ(resumed.runs[k].status, lost ? ScenarioRun::Status::Executed
+                                             : ScenarioRun::Status::Cached)
+          << "scenario " << k;
+    }
+    write_artifacts(resumed, crashed.path());
+    EXPECT_EQ(file_bytes(fs::path(crashed.path()) / "runs.csv"), runs_csv);
+    EXPECT_EQ(file_bytes(fs::path(crashed.path()) / "summary.json"),
+              summary);
+    // The torn bytes were cut away and the lost records re-appended in
+    // order: the repaired log is the uninterrupted one.
+    EXPECT_EQ(file_bytes(fs::path(crashed.path()) / "outcomes.log"),
+              file_bytes(fs::path(whole.path()) / "outcomes.log"));
+  }
 }
 
 TEST_F(PackedStoreTest, CorruptOrMissingIndexNeverChangesAnswers) {
@@ -768,6 +856,135 @@ TEST_F(PackedStoreTest, DamagedRecordIsSupersededNotConflicting) {
   auto conflicting = o;
   conflicting.speedup += 1.0;
   EXPECT_THROW(store.save(s, conflicting), Error);
+}
+
+// Two OutcomeStore instances on one packed directory each own a backend,
+// an open log and a cache — the same as two processes sharing the store.
+// Each writer catches up with what the other appended since its last
+// append instead of rescanning the log.
+
+TEST_F(PackedStoreTest, InterleavedWritersLoadCompletelyFromEither) {
+  StoreDir dir("hmpt_packed_two_writers");
+  const OutcomeStore a(dir.path(), StoreFormat::Packed);
+  const OutcomeStore b(dir.path(), StoreFormat::Packed);
+  std::vector<Scenario> scenario_list;
+  std::vector<tuner::TuningOutcome> outcomes;
+  for (int reps = 1; reps <= 6; ++reps) {
+    scenario_list.push_back(scenario_with_reps(reps));
+    outcomes.push_back(CampaignRunner::execute(scenario_list.back()));
+  }
+  b.save(scenario_list[0], outcomes[0]);
+  // a's batch is still open (appended, not synced) when b appends behind
+  // it and indexes its own record: b's index must not skip a's record,
+  // or a reader primed from the index would miss it.
+  a.append(scenario_list[1], outcomes[1]);
+  b.save(scenario_list[2], outcomes[2]);
+  EXPECT_TRUE(
+      OutcomeStore::open_existing(dir.path()).contains(scenario_list[1]));
+  a.sync();
+  for (std::size_t k = 3; k < scenario_list.size(); ++k)
+    (k % 2 == 0 ? b : a).save(scenario_list[k], outcomes[k]);
+  const OutcomeStore fresh = OutcomeStore::open_existing(dir.path());
+  for (const auto* store : {&a, &b, &fresh}) {
+    ASSERT_EQ(store->load_all_payloads().size(), scenario_list.size());
+    for (std::size_t k = 0; k < scenario_list.size(); ++k)
+      EXPECT_EQ(json_of(*store->load(scenario_list[k])),
+                json_of(outcomes[k]));
+  }
+  // Every record landed exactly once, and whatever index the writers
+  // left primes a reader to the complete set.
+  EXPECT_EQ(record_boundaries(dir.path()).size(), scenario_list.size() + 1);
+  const OutcomeStore reader = OutcomeStore::open_existing(dir.path());
+  for (const auto& scenario : scenario_list)
+    EXPECT_TRUE(reader.contains(scenario));
+}
+
+TEST_F(PackedStoreTest, ConflictWithTheOtherWritersRecordThrows) {
+  StoreDir dir("hmpt_packed_two_writers_conflict");
+  const OutcomeStore a(dir.path(), StoreFormat::Packed);
+  const OutcomeStore b(dir.path(), StoreFormat::Packed);
+  const auto s1 = scenario_with_reps(1);
+  const auto s2 = scenario_with_reps(2);
+  const auto o1 = CampaignRunner::execute(s1);
+  b.save(s2, CampaignRunner::execute(s2));  // b's cache predates s1
+  a.save(s1, o1);
+
+  auto tampered = o1;
+  tampered.speedup += 1.0;
+  EXPECT_THROW(b.save(s1, tampered), Error);
+  EXPECT_THROW(b.append(s1, tampered), Error);
+  // The identical record is the usual same-race no-op.
+  const auto size_before = log_size(dir.path());
+  b.save(s1, o1);
+  EXPECT_EQ(log_size(dir.path()), size_before);
+  EXPECT_EQ(json_of(*b.load(s1)), json_of(o1));
+}
+
+TEST_F(PackedStoreTest, TornTailOfTheOtherWriterIsTruncatedByTheNextSave) {
+  StoreDir dir("hmpt_packed_two_writers_torn");
+  const OutcomeStore a(dir.path(), StoreFormat::Packed);
+  const OutcomeStore b(dir.path(), StoreFormat::Packed);
+  const auto s1 = scenario_with_reps(1);
+  const auto s2 = scenario_with_reps(2);
+  const auto s3 = scenario_with_reps(3);
+  const auto o1 = CampaignRunner::execute(s1);
+  const auto o2 = CampaignRunner::execute(s2);
+  const auto o3 = CampaignRunner::execute(s3);
+  a.save(s1, o1);
+  const auto clean_end = log_size(dir.path());
+  // b dies mid-append: half of its record reaches the log.
+  b.save(s2, o2);
+  fs::resize_file(fs::path(dir.path()) / "outcomes.log",
+                  (clean_end + log_size(dir.path())) / 2);
+
+  // a's next save scans past its own last record, finds the torn frame,
+  // cuts it away and appends at the clean boundary.
+  a.save(s3, o3);
+  EXPECT_EQ(record_boundaries(dir.path()).size(), 3u);
+  EXPECT_EQ(record_boundaries(dir.path())[1], clean_end);
+  const OutcomeStore reader = OutcomeStore::open_existing(dir.path());
+  EXPECT_TRUE(reader.contains(s1));
+  EXPECT_FALSE(reader.contains(s2));
+  EXPECT_EQ(json_of(*reader.load(s3)), json_of(o3));
+
+  // b re-executes what it lost; both writers then agree on all three.
+  b.save(s2, o2);
+  for (const auto* store : {&a, &b})
+    EXPECT_EQ(store->load_all_payloads().size(), 3u);
+  EXPECT_EQ(OutcomeStore::open_existing(dir.path()).load_all_payloads().size(),
+            3u);
+}
+
+TEST_F(PackedStoreTest, RecreatedStoreDirectoryIsDetectedBetweenSaves) {
+  StoreDir dir("hmpt_packed_recreated");
+  const OutcomeStore a(dir.path(), StoreFormat::Packed);
+  const auto s1 = scenario_with_reps(1);
+  const auto s2 = scenario_with_reps(2);
+  const auto s3 = scenario_with_reps(3);
+  a.save(s1, CampaignRunner::execute(s1));
+
+  // The directory is deleted and another writer starts a new store in
+  // its place; a's open log is now an unlinked file.
+  fs::remove_all(dir.path());
+  {
+    const OutcomeStore b(dir.path(), StoreFormat::Packed);
+    b.save(s2, CampaignRunner::execute(s2));
+  }
+  a.save(s3, CampaignRunner::execute(s3));
+  {
+    const OutcomeStore reader = OutcomeStore::open_existing(dir.path());
+    EXPECT_FALSE(reader.contains(s1));  // went with the old directory
+    EXPECT_TRUE(reader.contains(s2));
+    EXPECT_TRUE(reader.contains(s3));   // landed in the new log
+    EXPECT_EQ(reader.load_all_payloads().size(), 2u);
+  }
+
+  // Deleted and not recreated: the next save creates the store again.
+  fs::remove_all(dir.path());
+  a.save(s1, CampaignRunner::execute(s1));
+  const OutcomeStore reader = OutcomeStore::open_existing(dir.path());
+  EXPECT_TRUE(reader.contains(s1));
+  EXPECT_EQ(reader.load_all_payloads().size(), 1u);
 }
 
 // ----------------------------------------------------------------- runner
@@ -923,6 +1140,46 @@ TEST_F(CampaignRunnerTest, PackedStoreReproducesDirArtifactsAndResumes) {
   EXPECT_EQ(warm.executed, 0);
   EXPECT_EQ(warm.cached, static_cast<int>(scenario_list.size()));
   EXPECT_EQ(runs_table(warm).to_csv(), runs_table(a).to_csv());
+}
+
+TEST_F(CampaignRunnerTest, ParallelPackedRunMatchesSerialDirArtifacts) {
+  StoreDir dir_serial("hmpt_campaign_serial_dir");
+  StoreDir dir_packed("hmpt_campaign_parallel_packed");
+  const auto scenario_list = scenarios();
+
+  CampaignOptions serial;
+  serial.output_dir = dir_serial.path();
+  serial.scenario_jobs = 1;
+  CampaignOptions packed;
+  packed.output_dir = dir_packed.path();
+  packed.store_format = StoreFormat::Packed;
+  packed.scenario_jobs = 4;
+
+  // Progress only ever reports a durable outcome: when the callback
+  // fires, the record is in the store for any reader to load.
+  std::atomic<int> reported{0};
+  const auto a = CampaignRunner(serial).run(scenario_list);
+  const auto b = CampaignRunner(packed).run(
+      scenario_list, [&](std::size_t, const ScenarioRun& run) {
+        EXPECT_EQ(run.status, ScenarioRun::Status::Executed);
+        EXPECT_TRUE(OutcomeStore::open_existing(dir_packed.path())
+                        .contains(run.scenario));
+        ++reported;
+      });
+  EXPECT_EQ(reported.load(), static_cast<int>(scenario_list.size()));
+  ASSERT_EQ(b.executed, static_cast<int>(scenario_list.size()));
+
+  write_artifacts(a, dir_serial.path());
+  write_artifacts(b, dir_packed.path());
+  for (const char* name : {"runs.csv", "summary.json"}) {
+    const std::string serial_bytes =
+        file_bytes(fs::path(dir_serial.path()) / name);
+    ASSERT_FALSE(serial_bytes.empty());
+    EXPECT_EQ(file_bytes(fs::path(dir_packed.path()) / name), serial_bytes)
+        << name;
+  }
+  EXPECT_EQ(OutcomeStore::open_existing(dir_packed.path()).load_all_payloads(),
+            OutcomeStore::open_existing(dir_serial.path()).load_all_payloads());
 }
 
 // ------------------------------------------------------------------ report
