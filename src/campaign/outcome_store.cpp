@@ -14,11 +14,11 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "common/error.h"
 #include "core/outcome_io.h"
+#include "obs/trace.h"
 
 namespace hmpt::campaign {
 
@@ -107,11 +107,27 @@ void write_durable(const std::string& path, const std::string& data) {
     raise("cannot close outcome file " + path + ": " + std::strerror(errno));
 }
 
-std::string slurp_file(const std::string& path) {
-  std::ifstream is(path);
-  std::stringstream buffer;
-  buffer << is.rdbuf();
-  return buffer.str();
+/// The whole file, read into a buffer sized from fstat; nullopt when it
+/// cannot be opened. A read error ends the data early, which the caller's
+/// validating parse then rejects as damage.
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat st {};
+  std::string data(
+      ::fstat(fd, &st) == 0 ? static_cast<std::size_t>(st.st_size) + 1 : 4096,
+      '\0');
+  std::size_t got = 0;
+  while (true) {
+    if (got == data.size()) data.resize(2 * data.size());  // it grew
+    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  data.resize(got);
+  return data;
 }
 
 /// A unique scratch name beside `path`: pid + process-wide counter, so
@@ -144,6 +160,15 @@ class OutcomeStoreBackend {
   /// Raw stored payload bytes; nullopt when absent or damaged.
   virtual std::optional<std::string> payload(
       const std::string& fingerprint) = 0;
+  /// The decoded outcome of a fingerprint; nullopt when absent or
+  /// damaged, exactly when payload() is.
+  virtual std::optional<tuner::TuningOutcome> load(
+      const std::string& fingerprint) {
+    const auto bytes = payload(fingerprint);
+    std::optional<tuner::TuningOutcome> outcome;
+    if (bytes) parse_outcome_payload(*bytes, fingerprint, &outcome);
+    return outcome;
+  }
   /// First-write-wins byte-compare append, visible to readers on
   /// return; durable once sync() returns. See the header.
   virtual void append_payload(const std::string& fingerprint,
@@ -178,20 +203,16 @@ class DirBackend : public OutcomeStoreBackend {
 
   std::optional<std::string> payload(
       const std::string& fingerprint) override {
-    const std::string path = dir_outcome_path(directory_, fingerprint);
-    std::ifstream is(path);
-    if (!is.good()) return std::nullopt;
-    std::stringstream buffer;
-    buffer << is.rdbuf();
-    std::string text = buffer.str();
-    if (!parse_outcome_payload(text, fingerprint, nullptr)) {
-      // Truncated or otherwise damaged (a crash mid-copy, external
-      // interference): quarantine and report a miss — the caller
-      // re-executes the scenario instead of the whole campaign aborting.
-      quarantine(path);
-      return std::nullopt;
-    }
-    return text;
+    return read_valid(fingerprint, nullptr);
+  }
+
+  // The validating parse already decodes the outcome: keep it, so a hit
+  // parses its file once.
+  std::optional<tuner::TuningOutcome> load(
+      const std::string& fingerprint) override {
+    std::optional<tuner::TuningOutcome> outcome;
+    read_valid(fingerprint, &outcome);
+    return outcome;
   }
 
   // Appends are durable on return (fsynced before the name is
@@ -231,7 +252,7 @@ class DirBackend : public OutcomeStoreBackend {
         raise("cannot finalise outcome file " + path + ": " +
               std::strerror(link_errno));
       }
-      const std::string existing = slurp_file(path);
+      const std::string existing = read_file(path).value_or("");
       if (existing == payload) {
         ::unlink(tmp.c_str());
         return;
@@ -257,13 +278,34 @@ class DirBackend : public OutcomeStoreBackend {
       const fs::path path = it->path();
       if (path.extension() != ".json") continue;
       const std::string fingerprint = path.stem().string();
-      std::string text = slurp_file(path.string());
+      auto text = read_file(path.string());
       // Damaged files are skipped, not quarantined: bulk loads (merge,
       // reports) must not mutate the store they read.
-      if (!parse_outcome_payload(text, fingerprint, nullptr)) continue;
-      sorted[fingerprint] = std::move(text);
+      if (!text || !parse_outcome_payload(*text, fingerprint, nullptr))
+        continue;
+      sorted[fingerprint] = std::move(*text);
     }
     return {sorted.begin(), sorted.end()};
+  }
+
+ private:
+  /// The stored bytes of a fingerprint after a validating parse, which
+  /// also decodes the outcome into `out` when non-null; nullopt when
+  /// absent or damaged.
+  std::optional<std::string> read_valid(
+      const std::string& fingerprint,
+      std::optional<tuner::TuningOutcome>* out) {
+    const std::string path = dir_outcome_path(directory_, fingerprint);
+    auto text = read_file(path);
+    if (!text) return std::nullopt;
+    if (!parse_outcome_payload(*text, fingerprint, out)) {
+      // Truncated or otherwise damaged (a crash mid-copy, external
+      // interference): quarantine and report a miss — the caller
+      // re-executes the scenario instead of the whole campaign aborting.
+      quarantine(path);
+      return std::nullopt;
+    }
+    return text;
   }
 };
 
@@ -951,16 +993,13 @@ std::optional<tuner::TuningOutcome> OutcomeStore::load(
 
 std::optional<tuner::TuningOutcome> OutcomeStore::load_by_fingerprint(
     const std::string& fingerprint) const {
-  const auto bytes = backend_->payload(fingerprint);
-  if (!bytes) return std::nullopt;
-  std::optional<tuner::TuningOutcome> outcome;
-  if (!parse_outcome_payload(*bytes, fingerprint, &outcome))
-    return std::nullopt;
-  return outcome;
+  obs::TraceSpan span("store", "load");  // read + decode
+  return backend_->load(fingerprint);
 }
 
 void OutcomeStore::append(const Scenario& scenario,
                           const tuner::TuningOutcome& outcome) const {
+  obs::TraceSpan span("store", "append");  // encode + write
   backend_->append_payload(scenario.fingerprint(),
                            make_payload(scenario, outcome));
 }
@@ -991,12 +1030,27 @@ OutcomeStore::load_all_payloads() const {
 
 std::string OutcomeStore::make_payload(const Scenario& scenario,
                                        const tuner::TuningOutcome& outcome) {
-  JsonObject doc;
-  doc["format_version"] = Json(kFingerprintVersion);
-  doc["fingerprint"] = Json(scenario.fingerprint());
-  doc["scenario"] = scenario.to_json();
-  doc["outcome"] = tuner::outcome_to_json(outcome);
-  return Json(std::move(doc)).dump();
+  // Streamed: the outcome, which dominates the bytes, never becomes a
+  // Json value. A config or trajectory step takes at most ~410 bytes in
+  // this layout, so reserving a little more per record writes a
+  // multi-megabyte sweep without regrowing the buffer.
+  const std::size_t records =
+      outcome.trajectory.size() + outcome.table.size() +
+      (outcome.sweep ? outcome.sweep->configs.size() : 0);
+  std::string out;
+  out.reserve(4096 + 448 * records);
+  JsonWriter writer(out);
+  writer.begin_object();
+  writer.key("format_version");
+  writer.value(kFingerprintVersion);
+  writer.key("fingerprint");
+  writer.value(scenario.fingerprint());
+  writer.key("scenario");
+  writer.value(scenario.to_json());
+  writer.key("outcome");
+  tuner::write_outcome(writer, outcome);
+  writer.end_object();
+  return out;
 }
 
 }  // namespace hmpt::campaign

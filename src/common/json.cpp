@@ -1,10 +1,10 @@
 #include "common/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <limits>
+#include <system_error>
 #include <utility>
 
 #include "common/error.h"
@@ -95,26 +95,29 @@ std::string Json::string_or(const std::string& key,
 
 namespace {
 
-void write_escaped(std::string& out, const std::string& s) {
+void write_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
@@ -122,77 +125,129 @@ void write_number(std::string& out, double v) {
   HMPT_REQUIRE(std::isfinite(v), "JSON cannot represent a non-finite number");
   // Integers print without an exponent or trailing ".0" (stable, compact);
   // everything else uses max_digits10 so the value round-trips exactly.
+  // to_chars with a precision is specified as printf's "%.0f" / "%.17g".
+  char buf[32];
+  std::to_chars_result result{};
   if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    out += buf;
-    return;
+    // Below 1e15 an integral double converts to int64 exactly, and integer
+    // to_chars prints the same digits several times faster; only -0 needs
+    // the floating-point path to keep its sign ("%.0f" prints "-0").
+    result = v == 0.0 && std::signbit(v)
+                 ? std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::fixed, 0)
+                 : std::to_chars(buf, buf + sizeof(buf),
+                                 static_cast<std::int64_t>(v));
+  } else {
+    result = std::to_chars(buf, buf + sizeof(buf), v,
+                           std::chars_format::general,
+                           std::numeric_limits<double>::max_digits10);
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.*g",
-                std::numeric_limits<double>::max_digits10, v);
-  out += buf;
-}
-
-void write_newline(std::string& out, int indent, int depth) {
-  if (indent < 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) *
-                 static_cast<std::size_t>(depth),
-             ' ');
+  out.append(buf, result.ptr);
 }
 
 }  // namespace
 
-void Json::write(std::string& out, int indent, int depth) const {
-  switch (kind_) {
-    case Kind::Null: out += "null"; return;
-    case Kind::Bool: out += bool_ ? "true" : "false"; return;
-    case Kind::Number: write_number(out, number_); return;
-    case Kind::String: write_escaped(out, string_); return;
-    case Kind::Array: {
-      if (array_->empty()) {
-        out += "[]";
-        return;
-      }
-      out += '[';
-      bool first = true;
-      for (const Json& item : *array_) {
-        if (!first) out += ',';
-        first = false;
-        write_newline(out, indent, depth + 1);
-        item.write(out, indent, depth + 1);
-      }
-      write_newline(out, indent, depth);
-      out += ']';
+void JsonWriter::newline(std::size_t depth) {
+  if (indent_ < 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
+}
+
+void JsonWriter::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (stack_.empty()) return;
+  Frame& frame = stack_.back();
+  HMPT_REQUIRE(!frame.object, "JsonWriter: object member needs a key");
+  if (frame.has_members) out_ += ',';
+  frame.has_members = true;
+  newline(stack_.size());
+}
+
+void JsonWriter::after_value() {
+  if (stack_.empty() && indent_ >= 0) out_ += '\n';
+}
+
+void JsonWriter::key(std::string_view name) {
+  HMPT_REQUIRE(!stack_.empty() && stack_.back().object && !after_key_,
+               "JsonWriter: key outside an object");
+  Frame& frame = stack_.back();
+  if (frame.has_members) out_ += ',';
+  frame.has_members = true;
+  newline(stack_.size());
+  write_escaped(out_, name);
+  out_ += indent_ < 0 ? ":" : ": ";
+  after_key_ = true;
+}
+
+void JsonWriter::open(char bracket, bool object) {
+  before_value();
+  out_ += bracket;
+  stack_.push_back(Frame{object, false});
+}
+
+void JsonWriter::close(char bracket, bool object) {
+  HMPT_REQUIRE(!stack_.empty() && stack_.back().object == object &&
+                   !after_key_,
+               "JsonWriter: unbalanced container");
+  const bool has_members = stack_.back().has_members;
+  stack_.pop_back();
+  if (has_members) newline(stack_.size());
+  out_ += bracket;
+  after_value();
+}
+
+void JsonWriter::null() {
+  before_value();
+  out_ += "null";
+  after_value();
+}
+
+void JsonWriter::value(bool b) {
+  before_value();
+  out_ += b ? "true" : "false";
+  after_value();
+}
+
+void JsonWriter::value(double v) {
+  before_value();
+  write_number(out_, v);
+  after_value();
+}
+
+void JsonWriter::value(std::string_view s) {
+  before_value();
+  write_escaped(out_, s);
+  after_value();
+}
+
+void JsonWriter::value(const Json& v) {
+  switch (v.kind()) {
+    case Json::Kind::Null: null(); return;
+    case Json::Kind::Bool: value(v.as_bool()); return;
+    case Json::Kind::Number: value(v.as_number()); return;
+    case Json::Kind::String: value(v.as_string()); return;
+    case Json::Kind::Array:
+      begin_array();
+      for (const Json& item : v.as_array()) value(item);
+      end_array();
       return;
-    }
-    case Kind::Object: {
-      if (object_->size() == 0) {
-        out += "{}";
-        return;
+    case Json::Kind::Object:
+      begin_object();
+      for (const auto& [name, member] : v.as_object()) {
+        key(name);
+        value(member);
       }
-      out += '{';
-      bool first = true;
-      for (const auto& [key, value] : *object_) {
-        if (!first) out += ',';
-        first = false;
-        write_newline(out, indent, depth + 1);
-        write_escaped(out, key);
-        out += indent < 0 ? ":" : ": ";
-        value.write(out, indent, depth + 1);
-      }
-      write_newline(out, indent, depth);
-      out += '}';
+      end_object();
       return;
-    }
   }
 }
 
 std::string Json::dump(int indent) const {
   std::string out;
-  write(out, indent, 0);
-  if (indent >= 0) out += '\n';
+  JsonWriter(out, indent).value(*this);
   return out;
 }
 
@@ -202,7 +257,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
     Json value = parse_value();
@@ -242,10 +297,9 @@ class Parser {
       ++pos_;
   }
 
-  bool consume_keyword(const char* word) {
-    const std::size_t len = std::char_traits<char>::length(word);
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
+  bool consume_keyword(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
     return true;
   }
 
@@ -310,12 +364,12 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      const char c = take();
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      // Copy the run of plain bytes up to the next quote or escape.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\')
+        ++pos_;
+      out.append(text_.data() + run, pos_ - run);
+      if (take() == '"') return out;
       const char esc = take();
       switch (esc) {
         case '"': out += '"'; break;
@@ -354,24 +408,26 @@ class Parser {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+           ((text_[pos_] >= '0' && text_[pos_] <= '9') ||
             text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
             text_[pos_] == '+' || text_[pos_] == '-'))
       ++pos_;
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed number");
+    // The whole token must be one number a double can hold: out-of-range
+    // literals would read back as inf (unwritable) or a silent 0.
+    double value = 0.0;
+    const char* end = text_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(text_.data() + start, end, value);
+    if (ec != std::errc() || ptr != end) fail("malformed number");
     return Json(value);
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
-Json Json::parse(const std::string& text) {
+Json Json::parse(std::string_view text) {
   return Parser(text).parse_document();
 }
 

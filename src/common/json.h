@@ -7,12 +7,29 @@
 // insertion order so written files are stable byte-for-byte — resumed
 // campaigns must reproduce identical artefacts. No external dependency;
 // the dialect is plain RFC 8259 minus \uXXXX escapes beyond ASCII needs.
+//
+// All output goes through one streaming formatter, JsonWriter: Json::dump
+// is a walk of the value into it, and large documents (stored outcomes,
+// daemon replies) are written straight from their source structs without
+// building a Json value first. The bytes are part of the outcome store's
+// contract — shards written by different builds must merge byte-identically
+// — so the number format is fixed: integers below 1e15 in magnitude print
+// as printf's "%.0f" would, every other finite value as "%.17g" would
+// (max_digits10, so every double round-trips exactly). Both are produced
+// with std::to_chars, which the standard defines as exactly that printf
+// output, without printf's cost. Non-finite values cannot be written.
+//
+// The parser reads numbers with std::from_chars on the text in place and
+// rejects literals whose magnitude a double cannot hold ("1e999",
+// "1e-400") as malformed, instead of reading them as inf or 0: what it
+// accepts is exactly what the writer can write back.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hmpt {
@@ -79,11 +96,9 @@ class Json {
   std::string dump(int indent = 2) const;
 
   /// Parse a document; throws hmpt::Error with offset context on garbage.
-  static Json parse(const std::string& text);
+  static Json parse(std::string_view text);
 
  private:
-  void write(std::string& out, int indent, int depth) const;
-
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   double number_ = 0.0;
@@ -93,6 +108,53 @@ class Json {
   // like any other value type.
   std::unique_ptr<JsonArray> array_;
   std::unique_ptr<JsonObject> object_;
+};
+
+/// Streaming JSON formatter, appending to a caller-owned string. The
+/// layout is Json::dump's: `indent` < 0 writes compact one-liners; >= 0
+/// puts every array element and object member on its own line, indented
+/// `indent` spaces per level, with ": " between key and value, writes
+/// empty containers as `[]`/`{}`, and ends a finished top-level value with
+/// a newline. Inside an object every value must be preceded by key().
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out, int indent = 2)
+      : out_(out), indent_(indent) {}
+
+  void begin_object() { open('{', true); }
+  void end_object() { close('}', true); }
+  void begin_array() { open('[', false); }
+  void end_array() { close(']', false); }
+  /// The next member's key; the member's value follows.
+  void key(std::string_view name);
+
+  void null();
+  void value(bool b);
+  void value(double v);  ///< throws hmpt::Error when not finite
+  void value(int v) { value(static_cast<double>(v)); }
+  void value(std::uint64_t v) { value(static_cast<double>(v)); }
+  void value(std::string_view s);
+  void value(const char* s) { value(std::string_view(s)); }
+  void value(const std::string& s) { value(std::string_view(s)); }
+  /// A whole value tree.
+  void value(const Json& v);
+
+ private:
+  struct Frame {
+    bool object = false;
+    bool has_members = false;
+  };
+
+  void before_value();
+  void after_value();
+  void newline(std::size_t depth);
+  void open(char bracket, bool object);
+  void close(char bracket, bool object);
+
+  std::string& out_;
+  const int indent_;
+  std::vector<Frame> stack_;
+  bool after_key_ = false;
 };
 
 }  // namespace hmpt

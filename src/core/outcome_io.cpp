@@ -40,6 +40,25 @@ Json step_to_json(const TuningStep& s) {
   return Json(std::move(o));
 }
 
+void write_config(JsonWriter& w, const ConfigResult& c) {
+  w.begin_object();
+  w.key("mask");
+  w.value(static_cast<std::uint64_t>(c.mask));
+  w.key("mean_time");
+  w.value(c.mean_time);
+  w.key("stddev_time");
+  w.value(c.stddev_time);
+  w.key("speedup");
+  w.value(c.speedup);
+  w.key("hbm_usage");
+  w.value(c.hbm_usage);
+  w.key("hbm_density");
+  w.value(c.hbm_density);
+  w.key("groups_in_hbm");
+  w.value(c.groups_in_hbm);
+  w.end_object();
+}
+
 TuningStep step_from_json(const Json& json) {
   TuningStep s;
   s.index = static_cast<int>(json.at("index").as_number());
@@ -48,6 +67,21 @@ TuningStep step_from_json(const Json& json) {
   s.speedup = json.at("speedup").as_number();
   s.accepted = json.at("accepted").as_bool();
   return s;
+}
+
+void write_step(JsonWriter& w, const TuningStep& s) {
+  w.begin_object();
+  w.key("index");
+  w.value(s.index);
+  w.key("mask");
+  w.value(static_cast<std::uint64_t>(s.mask));
+  w.key("observed_time");
+  w.value(s.observed_time);
+  w.key("speedup");
+  w.value(s.speedup);
+  w.key("accepted");
+  w.value(s.accepted);
+  w.end_object();
 }
 
 }  // namespace
@@ -94,6 +128,64 @@ Json outcome_to_json(const TuningOutcome& outcome) {
     o["sweep"] = Json(std::move(sweep));
   }
   return Json(std::move(o));
+}
+
+void write_outcome(JsonWriter& w, const TuningOutcome& outcome) {
+  // Field for field, in outcome_to_json's order.
+  w.begin_object();
+  w.key("strategy");
+  w.value(outcome.strategy);
+  w.key("workload");
+  w.value(outcome.workload);
+  w.key("num_groups");
+  w.value(outcome.num_groups);
+  w.key("num_tiers");
+  w.value(outcome.num_tiers);
+  w.key("chosen_mask");
+  w.value(static_cast<std::uint64_t>(outcome.chosen_mask));
+  w.key("chosen_placement");
+  w.begin_array();
+  for (const auto kind : outcome.chosen_placement.pools())
+    w.value(static_cast<int>(kind));
+  w.end_array();
+  w.key("chosen_time");
+  w.value(outcome.chosen_time);
+  w.key("baseline_time");
+  w.value(outcome.baseline_time);
+  w.key("speedup");
+  w.value(outcome.speedup);
+  w.key("hbm_bytes");
+  w.value(outcome.hbm_bytes);
+  w.key("hbm_usage");
+  w.value(outcome.hbm_usage);
+  w.key("configs_measured");
+  w.value(outcome.configs_measured);
+  w.key("measurements");
+  w.value(outcome.measurements);
+  w.key("trajectory");
+  w.begin_array();
+  for (const auto& s : outcome.trajectory) write_step(w, s);
+  w.end_array();
+  w.key("table");
+  w.begin_array();
+  for (const auto& c : outcome.table) write_config(w, c);
+  w.end_array();
+  if (outcome.sweep.has_value()) {
+    w.key("sweep");
+    w.begin_object();
+    w.key("baseline_time");
+    w.value(outcome.sweep->baseline_time);
+    w.key("num_groups");
+    w.value(outcome.sweep->num_groups);
+    w.key("num_tiers");
+    w.value(outcome.sweep->num_tiers);
+    w.key("configs");
+    w.begin_array();
+    for (const auto& c : outcome.sweep->configs) write_config(w, c);
+    w.end_array();
+    w.end_object();
+  }
+  w.end_object();
 }
 
 TuningOutcome outcome_from_json(const Json& json) {

@@ -17,6 +17,12 @@ namespace hmpt::tuner {
 /// present, the full sweep) to a JSON object.
 Json outcome_to_json(const TuningOutcome& outcome);
 
+/// Stream the same object straight into `writer`, without building a Json
+/// value: byte-identical to writing outcome_to_json(outcome) (pinned by
+/// tests), at a fraction of the cost on large sweeps. The outcome store
+/// and the daemon's result replies write outcomes this way.
+void write_outcome(JsonWriter& writer, const TuningOutcome& outcome);
+
 /// Parse an outcome back; throws hmpt::Error on a malformed document.
 TuningOutcome outcome_from_json(const Json& json);
 

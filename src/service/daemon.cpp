@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/thread_name.h"
-#include "core/outcome_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -414,9 +413,7 @@ void Daemon::handle_result(const std::shared_ptr<Connection>& connection,
         to_string(Op::Result)));
     return;
   }
-  JsonObject fields = job_fields(*status);
-  fields["outcome"] = tuner::outcome_to_json(*outcome);
-  connection->send(ok_line(Op::Result, std::move(fields)));
+  connection->send(result_line(job_fields(*status), *outcome));
 }
 
 void Daemon::start_watch(const std::shared_ptr<Connection>& connection) {

@@ -1,8 +1,11 @@
 #include "service/protocol.h"
 
+#include <functional>
+#include <initializer_list>
 #include <utility>
 
 #include "common/error.h"
+#include "core/outcome_io.h"
 
 namespace hmpt::service {
 
@@ -15,6 +18,42 @@ std::string string_field(const JsonObject& obj, const std::string& key) {
   if (value->kind() != Json::Kind::String)
     raise("field '" + key + "' must be a string");
   return value->as_string();
+}
+
+/// One header member of a response or event line.
+struct HeaderField {
+  const char* key;
+  Json value;
+};
+
+/// One compact NDJSON line: the `header` members in order, each replaced
+/// in place by a same-named member of `fields`, then the other `fields` in
+/// their order — what inserting `fields` into an object holding `header`
+/// would give — streamed without copying `fields`; `tail`, when set,
+/// writes further members last.
+std::string line_of(std::initializer_list<HeaderField> header,
+                    const JsonObject& fields,
+                    const std::function<void(JsonWriter&)>& tail = {}) {
+  std::string line;
+  JsonWriter writer(line, -1);
+  writer.begin_object();
+  for (const HeaderField& field : header) {
+    writer.key(field.key);
+    const Json* replacement = fields.find(field.key);
+    writer.value(replacement != nullptr ? *replacement : field.value);
+  }
+  for (const auto& [key, value] : fields) {
+    bool in_header = false;
+    for (const HeaderField& field : header)
+      in_header = in_header || key == field.key;
+    if (in_header) continue;
+    writer.key(key);
+    writer.value(value);
+  }
+  if (tail) tail(writer);
+  writer.end_object();
+  line += '\n';
+  return line;
 }
 
 std::string required_fingerprint(const JsonObject& obj, Op op) {
@@ -166,42 +205,42 @@ std::string Request::to_line() const {
   return Json(std::move(obj)).dump(-1) + "\n";
 }
 
-std::string ok_line(Op op, JsonObject fields) {
-  JsonObject obj;
-  obj["ok"] = Json(true);
-  obj["op"] = Json(to_string(op));
-  for (const auto& [key, value] : fields) obj[key] = value;
-  return Json(std::move(obj)).dump(-1) + "\n";
+std::string ok_line(Op op, const JsonObject& fields) {
+  return line_of({{"ok", Json(true)}, {"op", Json(to_string(op))}}, fields);
+}
+
+std::string result_line(const JsonObject& fields,
+                        const tuner::TuningOutcome& outcome) {
+  HMPT_REQUIRE(!fields.contains("outcome"),
+               "result_line writes the 'outcome' member itself");
+  return line_of({{"ok", Json(true)}, {"op", Json(to_string(Op::Result))}},
+                 fields, [&](JsonWriter& writer) {
+                   writer.key("outcome");
+                   tuner::write_outcome(writer, outcome);
+                 });
 }
 
 std::string error_line(const std::string& error,
-                       const std::string& op_text, JsonObject fields) {
-  JsonObject obj;
-  obj["ok"] = Json(false);
-  obj["op"] = Json(op_text);
-  obj["error"] = Json(error);
-  for (const auto& [key, value] : fields) obj[key] = value;
-  return Json(std::move(obj)).dump(-1) + "\n";
+                       const std::string& op_text, const JsonObject& fields) {
+  return line_of(
+      {{"ok", Json(false)}, {"op", Json(op_text)}, {"error", Json(error)}},
+      fields);
 }
 
 std::string job_event_line(const std::string& fingerprint,
                            const std::string& label,
                            const std::string& state, double seconds,
-                           JsonObject extra) {
-  JsonObject obj;
-  obj["event"] = Json("job");
-  obj["fingerprint"] = Json(fingerprint);
-  obj["label"] = Json(label);
-  obj["state"] = Json(state);
-  obj["seconds"] = Json(seconds);
-  for (const auto& [key, value] : extra) obj[key] = value;
-  return Json(std::move(obj)).dump(-1) + "\n";
+                           const JsonObject& extra) {
+  return line_of({{"event", Json("job")},
+                  {"fingerprint", Json(fingerprint)},
+                  {"label", Json(label)},
+                  {"state", Json(state)},
+                  {"seconds", Json(seconds)}},
+                 extra);
 }
 
 std::string event_line(const std::string& name) {
-  JsonObject obj;
-  obj["event"] = Json(name);
-  return Json(std::move(obj)).dump(-1) + "\n";
+  return line_of({{"event", Json(name)}}, {});
 }
 
 ServerMessage parse_server_message(const std::string& line) {

@@ -22,6 +22,10 @@
 #include "campaign/scenario.h"
 #include "common/json.h"
 
+namespace hmpt::tuner {
+struct TuningOutcome;
+}  // namespace hmpt::tuner
+
 namespace hmpt::service {
 
 /// Protocol revision, echoed by `ping`; bump on any wire-visible change.
@@ -81,14 +85,24 @@ struct Request {
 /// a non-object document, a missing/unknown op, or malformed fields.
 Request parse_request(const std::string& line);
 
+// Response and event lines are streamed straight from their parts. A
+// member of `fields`/`extra` named like a header key ("ok", "op", ...)
+// replaces that key's value in place; the others follow the header in
+// their own order.
+
 /// Success response: {"ok":true,"op":...} plus `fields`, one line.
-std::string ok_line(Op op, JsonObject fields = {});
+std::string ok_line(Op op, const JsonObject& fields = {});
+/// The success response of `result`: ok_line(Op::Result, fields) with
+/// the outcome appended as a last "outcome" member, written straight from
+/// the struct (tuner::write_outcome). `fields` must not hold "outcome".
+std::string result_line(const JsonObject& fields,
+                        const tuner::TuningOutcome& outcome);
 /// Error response: {"ok":false,"op":...,"error":...} plus `fields`
 /// (e.g. the non-terminal "state" of a fast-failed `result`). `op_text`
 /// is the wire op spelling, or "?" when the request never parsed that far.
 std::string error_line(const std::string& error,
                        const std::string& op_text = "?",
-                       JsonObject fields = {});
+                       const JsonObject& fields = {});
 
 /// One streamed completion event (watch subscribers): event "job" with
 /// the job's fingerprint, label, terminal state and timing; `extra`
@@ -96,7 +110,7 @@ std::string error_line(const std::string& error,
 std::string job_event_line(const std::string& fingerprint,
                            const std::string& label,
                            const std::string& state, double seconds,
-                           JsonObject extra = {});
+                           const JsonObject& extra = {});
 /// A bare lifecycle event line: {"event":<name>} ("drained", "shutdown").
 std::string event_line(const std::string& name);
 

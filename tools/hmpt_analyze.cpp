@@ -319,8 +319,11 @@ int main(int argc, char** argv) {
     }
 
     if (!json_out.empty()) {
+      std::string text;
+      JsonWriter writer(text);
+      tuner::write_outcome(writer, run_outcome);
       std::ofstream os(json_out);
-      os << tuner::outcome_to_json(run_outcome).dump();
+      os << text;
       os.flush();
       if (!os.good()) {
         std::cerr << "cannot write JSON to " << json_out << '\n';
