@@ -345,6 +345,85 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
   return out;
 }
 
+namespace {
+
+// Checked full-consumption parsing (common/parse.h): partial values
+// ("2x"), overflow ("1e999") and non-finite spellings ("inf", "nan") all
+// produce one structured parse error naming the bad token — a bad
+// campaign file or flag must never crash or silently misconfigure.
+int as_int(const std::string& text) {
+  const auto v = parse_int_strict(text);
+  if (!v) raise("not an integer: '" + text + "'");
+  return *v;
+}
+
+double as_double(const std::string& text) {
+  const auto v = parse_double_strict(text);
+  if (!v) raise("not a finite number: '" + text + "'");
+  return *v;
+}
+
+using ApplyFn = void (*)(ScenarioMatrix&, const std::string&);
+
+/// The campaign-file directives, which are also every front end's matrix
+/// flags (`--<name> VALUE`).
+constexpr std::pair<std::string_view, ApplyFn> kDirectives[] = {
+    {"workload",
+     [](ScenarioMatrix& m, const std::string& v) {
+       m.workloads.push_back(parse_workload_spec(v));
+     }},
+    {"platform",
+     [](ScenarioMatrix& m, const std::string& v) {
+       m.platforms.push_back(v);
+     }},
+    {"strategy",
+     [](ScenarioMatrix& m, const std::string& v) {
+       m.strategies.push_back(v);
+     }},
+    {"tiers",
+     [](ScenarioMatrix& m, const std::string& v) {
+       m.tiers.push_back(as_int(v));
+     }},
+    {"budget-gb",
+     [](ScenarioMatrix& m, const std::string& v) {
+       m.budgets_gb.push_back(as_double(v));
+     }},
+    {"tier-budget-gb",
+     [](ScenarioMatrix& m, const std::string& v) {
+       const auto colon = v.find(':');
+       if (colon == std::string::npos)
+         raise("expects tier:gb (e.g. 2:64), got '" + v + "'");
+       m.tier_budgets_gb.emplace_back(as_int(v.substr(0, colon)),
+                                      as_double(v.substr(colon + 1)));
+     }},
+    {"reps",
+     [](ScenarioMatrix& m, const std::string& v) {
+       m.repetitions = as_int(v);
+     }},
+    {"top-k",
+     [](ScenarioMatrix& m, const std::string& v) { m.top_k = as_int(v); }},
+};
+
+ApplyFn find_directive(std::string_view name) {
+  for (const auto& [directive, fn] : kDirectives)
+    if (directive == name) return fn;
+  return nullptr;
+}
+
+}  // namespace
+
+void ScenarioMatrix::apply(std::string_view directive,
+                           const std::string& value) {
+  const ApplyFn fn = find_directive(directive);
+  if (fn == nullptr)
+    raise("unknown directive '" + std::string(directive) + "'");
+  fn(*this, value);
+}
+
+bool ScenarioMatrix::is_flag(std::string_view arg) {
+  return arg.substr(0, 2) == "--" && find_directive(arg.substr(2)) != nullptr;
+}
+
 ScenarioMatrix ScenarioMatrix::parse(std::istream& is) {
   ScenarioMatrix matrix;
   std::string line;
@@ -365,58 +444,19 @@ ScenarioMatrix ScenarioMatrix::parse(std::istream& is) {
     std::string directive;
     if (!(tokens >> directive)) continue;  // blank/comment line
 
+    const std::string where = "campaign file line " + std::to_string(line_no);
+    if (find_directive(directive) == nullptr)
+      raise(where + ": unknown directive '" + directive + "'");
     std::string value;
     if (!(tokens >> value))
-      raise("campaign file line " + std::to_string(line_no) + ": '" +
-            directive + "' needs a value");
+      raise(where + ": '" + directive + "' needs a value");
     std::string extra;
     if (tokens >> extra)
-      raise("campaign file line " + std::to_string(line_no) +
-            ": trailing text after '" + value + "'");
-
-    // Checked full-consumption parsing (common/parse.h): partial values
-    // ("2x"), overflow ("1e999") and non-finite spellings ("inf", "nan")
-    // all produce the same structured parse error naming the line —
-    // a bad campaign file must never crash or silently misconfigure.
-    const auto as_int = [&](const std::string& text) {
-      const auto v = parse_int_strict(text);
-      if (!v)
-        raise("campaign file line " + std::to_string(line_no) +
-              ": not an integer: '" + text + "'");
-      return *v;
-    };
-    const auto as_double = [&](const std::string& text) {
-      const auto v = parse_double_strict(text);
-      if (!v)
-        raise("campaign file line " + std::to_string(line_no) +
-              ": not a finite number: '" + text + "'");
-      return *v;
-    };
-
-    if (directive == "workload") {
-      matrix.workloads.push_back(parse_workload_spec(value));
-    } else if (directive == "platform") {
-      matrix.platforms.push_back(value);
-    } else if (directive == "strategy") {
-      matrix.strategies.push_back(value);
-    } else if (directive == "tiers") {
-      matrix.tiers.push_back(as_int(value));
-    } else if (directive == "budget-gb") {
-      matrix.budgets_gb.push_back(as_double(value));
-    } else if (directive == "tier-budget-gb") {
-      const auto colon = value.find(':');
-      if (colon == std::string::npos)
-        raise("campaign file line " + std::to_string(line_no) +
-              ": tier-budget-gb expects tier:gb");
-      matrix.tier_budgets_gb.emplace_back(as_int(value.substr(0, colon)),
-                                          as_double(value.substr(colon + 1)));
-    } else if (directive == "reps") {
-      matrix.repetitions = as_int(value);
-    } else if (directive == "top-k") {
-      matrix.top_k = as_int(value);
-    } else {
-      raise("campaign file line " + std::to_string(line_no) +
-            ": unknown directive '" + directive + "'");
+      raise(where + ": trailing text after '" + value + "'");
+    try {
+      matrix.apply(directive, value);
+    } catch (const Error& e) {
+      raise(where + ": " + directive + ": " + e.what());
     }
   }
   return matrix;
@@ -431,6 +471,24 @@ ScenarioMatrix ScenarioMatrix::load(const std::string& path) {
   std::ifstream is(path);
   if (!is.good()) raise("cannot read campaign file: " + path);
   return parse(is);
+}
+
+ScenarioMatrix ScenarioMatrix::declare(
+    const std::string& campaign_file,
+    const std::vector<std::pair<std::string, std::string>>& flags) {
+  ScenarioMatrix matrix;
+  if (!campaign_file.empty()) matrix = load(campaign_file);
+  for (const auto& [flag, value] : flags) {
+    HMPT_REQUIRE(is_flag(flag), "not a matrix flag: " + flag);
+    try {
+      matrix.apply(std::string_view(flag).substr(2), value);
+    } catch (const Error& e) {
+      raise(flag + ": " + e.what());
+    }
+  }
+  if (matrix.platforms.empty()) matrix.platforms = {"xeon-max"};
+  if (matrix.strategies.empty()) matrix.strategies = {"exhaustive"};
+  return matrix;
 }
 
 }  // namespace hmpt::campaign

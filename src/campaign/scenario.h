@@ -13,11 +13,15 @@
 //
 // A ScenarioMatrix is the declarative cross product the campaign file and
 // the CLI flags build up: workloads × platforms × strategies × tiers ×
-// budgets, expanded to a validated, deduplicated scenario list.
+// budgets, expanded to a validated, deduplicated scenario list. One
+// directive table parses both spellings — `tiers 2` on a campaign-file line
+// and `--tiers 2` on a command line — so the file format and every front
+// end's matrix flags cannot drift apart.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -133,11 +137,31 @@ struct ScenarioMatrix {
   ///   tier-budget-gb <tier>:<n>
   ///   reps <n>
   ///   top-k <n>
-  /// Repeatable directives (workload/platform/strategy/tiers/budget-gb)
-  /// append to their axis; reps and top-k are single-valued.
+  /// Repeatable directives (workload/platform/strategy/tiers/budget-gb/
+  /// tier-budget-gb) append to their axis; reps and top-k are
+  /// single-valued. Errors name the line: "campaign file line 2: tiers:
+  /// not an integer: '2x'".
   static ScenarioMatrix parse(std::istream& is);
   static ScenarioMatrix parse(const std::string& text);
   static ScenarioMatrix load(const std::string& path);
+
+  /// Apply one directive of the table above to this matrix. Throws
+  /// hmpt::Error on an unknown directive or a malformed value ("not an
+  /// integer: '2x'", "not a finite number: 'inf'").
+  void apply(std::string_view directive, const std::string& value);
+
+  /// True when `arg` is a matrix flag: "--" followed by a directive.
+  static bool is_flag(std::string_view arg);
+
+  /// The matrix a command line declares: the campaign file's axes (when
+  /// `campaign_file` is non-empty), then each (`--directive`, value) flag
+  /// applied in command-line order — flags append to the file's axes and
+  /// override its reps/top-k — then platform xeon-max and strategy
+  /// exhaustive for axes still empty. A flag's error names the flag:
+  /// "--tiers: not an integer: '2x'".
+  static ScenarioMatrix declare(
+      const std::string& campaign_file,
+      const std::vector<std::pair<std::string, std::string>>& flags);
 };
 
 }  // namespace hmpt::campaign

@@ -93,9 +93,7 @@ std::string Json::string_or(const std::string& key,
 
 // ------------------------------------------------------------------ writer
 
-namespace {
-
-void write_escaped(std::string& out, std::string_view s) {
+void append_json_string(std::string& out, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
   std::size_t run = 0;  // start of the pending run of plain bytes
@@ -121,7 +119,7 @@ void write_escaped(std::string& out, std::string_view s) {
   out += '"';
 }
 
-void write_number(std::string& out, double v) {
+void append_json_number(std::string& out, double v) {
   HMPT_REQUIRE(std::isfinite(v), "JSON cannot represent a non-finite number");
   // Integers print without an exponent or trailing ".0" (stable, compact);
   // everything else uses max_digits10 so the value round-trips exactly.
@@ -144,8 +142,6 @@ void write_number(std::string& out, double v) {
   }
   out.append(buf, result.ptr);
 }
-
-}  // namespace
 
 void JsonWriter::newline(std::size_t depth) {
   if (indent_ < 0) return;
@@ -177,7 +173,7 @@ void JsonWriter::key(std::string_view name) {
   if (frame.has_members) out_ += ',';
   frame.has_members = true;
   newline(stack_.size());
-  write_escaped(out_, name);
+  append_json_string(out_, name);
   out_ += indent_ < 0 ? ":" : ": ";
   after_key_ = true;
 }
@@ -213,13 +209,13 @@ void JsonWriter::value(bool b) {
 
 void JsonWriter::value(double v) {
   before_value();
-  write_number(out_, v);
+  append_json_number(out_, v);
   after_value();
 }
 
 void JsonWriter::value(std::string_view s) {
   before_value();
-  write_escaped(out_, s);
+  append_json_string(out_, s);
   after_value();
 }
 

@@ -110,6 +110,13 @@ class Json {
   std::unique_ptr<JsonObject> object_;
 };
 
+/// The writer's two leaf formatters, for hand-rolled writers of the same
+/// dialect (the trace recorder): `s` as a quoted, escaped string literal,
+/// and a finite number in the fixed format above (throws hmpt::Error when
+/// `v` is not finite).
+void append_json_string(std::string& out, std::string_view s);
+void append_json_number(std::string& out, double v);
+
 /// Streaming JSON formatter, appending to a caller-owned string. The
 /// layout is Json::dump's: `indent` < 0 writes compact one-liners; >= 0
 /// puts every array element and object member on its own line, indented

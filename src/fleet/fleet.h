@@ -1,6 +1,7 @@
 // fleet.h — distributed campaign dispatch with work stealing.
 //
-// One command runs a whole sharded campaign: the dispatcher expands the
+// One command — `hmpt_campaign --fleet N`, whose workers default to the
+// same binary — runs a whole sharded campaign: the dispatcher expands the
 // scenario matrix once, writes it to a plan file, deals the
 // fingerprint-sorted scenarios round-robin into N shard workers (each an
 // `hmpt_campaign --plan ... --assign ... --progress-manifest` child

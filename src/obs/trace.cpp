@@ -3,15 +3,14 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/thread_name.h"
 
 namespace hmpt::obs {
@@ -23,43 +22,6 @@ std::atomic<bool> g_trace_enabled{false};
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// JSON string escaping, matching common/json's writer (RFC 8259, ASCII
-/// control escapes only) — the trace file is hand-written here because
-/// building a Json tree for hundreds of thousands of events would double
-/// the memory the recorder holds at stop time.
-void escape_into(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string format_number(double value) {
-  if (std::isfinite(value) && value == std::floor(value) &&
-      std::fabs(value) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", value);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 struct Event {
   char ph = 'i';
@@ -78,17 +40,22 @@ struct ThreadBuffer {
   std::string thread_name;  ///< captured at registration
 };
 
+// The trace file is written by hand, with common/json's leaf formatters,
+// because building a Json tree for hundreds of thousands of events would
+// double the memory the recorder holds at stop time.
 void write_event(std::string& out, const Event& e, int pid, int tid) {
-  out += "{\"name\":\"";
-  escape_into(out, e.name);
-  out += "\",\"cat\":\"";
-  escape_into(out, e.cat);
-  out += "\",\"ph\":\"";
+  out += "{\"name\":";
+  append_json_string(out, e.name);
+  out += ",\"cat\":";
+  append_json_string(out, e.cat);
+  out += ",\"ph\":\"";
   out += e.ph;
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\",\"ts\":%" PRIu64 ",\"pid\":%d,\"tid\":%d",
-                e.ts_us, pid, tid);
-  out += buf;
+  out += "\",\"ts\":";
+  out += std::to_string(e.ts_us);
+  out += ",\"pid\":";
+  out += std::to_string(pid);
+  out += ",\"tid\":";
+  out += std::to_string(tid);
   if (e.ph == 'i') out += ",\"s\":\"t\"";
   if (!e.args.empty()) {
     out += ",\"args\":{";
@@ -104,16 +71,22 @@ void write_metadata(std::string& out, const char* name,
   e.ph = 'M';
   e.cat = "__metadata";
   e.name = name;
-  e.args = "\"name\":\"";
-  escape_into(e.args, value);
-  e.args += '"';
+  e.args = "\"name\":";
+  append_json_string(e.args, value);
   write_event(out, e, pid, tid);
 }
 
 }  // namespace
 
 TraceArg TraceArg::number(std::string key, double value) {
-  TraceArg arg(std::move(key), format_number(value));
+  // JSON has no inf/nan; a non-finite value records as null rather than
+  // throwing out of an instrumented code path.
+  std::string text = "null";
+  if (std::isfinite(value)) {
+    text.clear();
+    append_json_number(text, value);
+  }
+  TraceArg arg(std::move(key), std::move(text));
   arg.is_number = true;
   return arg;
 }
@@ -191,16 +164,12 @@ std::string TraceRecorder::render_args(
   std::string out;
   for (const TraceArg& a : args) {
     if (!out.empty()) out += ',';
-    out += '"';
-    escape_into(out, a.key);
-    out += "\":";
-    if (a.is_number) {
+    append_json_string(out, a.key);
+    out += ':';
+    if (a.is_number)
       out += a.value;
-    } else {
-      out += '"';
-      escape_into(out, a.value);
-      out += '"';
-    }
+    else
+      append_json_string(out, a.value);
   }
   return out;
 }

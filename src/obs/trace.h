@@ -49,8 +49,9 @@ inline bool trace_enabled() {
   return detail::g_trace_enabled.load(std::memory_order_relaxed);
 }
 
-/// One key/value argument of an event. Values are strings; numeric()
-/// builds one that renders as a bare JSON number.
+/// One key/value argument of an event. Values are strings; number()
+/// builds one that renders as a bare JSON number, in common/json's number
+/// format (null when not finite).
 struct TraceArg {
   std::string key;
   std::string value;

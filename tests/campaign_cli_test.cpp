@@ -184,6 +184,13 @@ TEST_F(CampaignCliTest, ListingsAndUsage) {
   EXPECT_NE(run("--workload mg --reps 0 --out " + store_), 0);
   EXPECT_NE(run("--workload mg --top-k 0 --out " + store_), 0);
   EXPECT_NE(run("--out " + store_), 0);  // no workloads declared
+  // Malformed matrix-flag values are usage errors naming flag and token.
+  EXPECT_EQ(WEXITSTATUS(run("--workload mg --tiers 2x --out " + store_)), 1);
+  EXPECT_NE(slurp(out_).find("--tiers"), std::string::npos) << slurp(out_);
+  EXPECT_NE(slurp(out_).find("'2x'"), std::string::npos) << slurp(out_);
+  EXPECT_EQ(
+      WEXITSTATUS(run("--workload mg --tier-budget-gb 64 --out " + store_)),
+      1);
 }
 
 TEST_F(CampaignCliTest, ShardedRunsMergeToTheUnshardedArtifacts) {

@@ -363,6 +363,152 @@ TEST(ScenarioMatrixTest, MalformedNumbersFailWithLineNumberedErrors) {
             std::string::npos);
 }
 
+// ------------------------------------------- matrix flags == file lines
+
+using MatrixFlags = std::vector<std::pair<std::string, std::string>>;
+
+/// One row per campaign-file directive: two values, each different from
+/// the baseline "workload mg" campaign and from each other.
+struct DirectiveRow {
+  std::string directive;
+  std::string first;
+  std::string second;
+};
+
+const std::vector<DirectiveRow>& every_directive() {
+  static const std::vector<DirectiveRow> rows = {
+      {"workload", "kwave", "stream:array_gb=1,iterations=2"},
+      {"platform", "spr-cxl", "xeon-max-1s"},
+      {"strategy", "online", "estimator"},
+      {"tiers", "2", "3"},
+      {"budget-gb", "16", "0.5"},
+      {"tier-budget-gb", "2:64", "1:8"},
+      {"reps", "2", "5"},
+      {"top-k", "4", "6"},
+  };
+  return rows;
+}
+
+std::vector<std::string> fingerprints_of(const ScenarioMatrix& matrix) {
+  std::vector<std::string> out;
+  for (const auto& s : matrix.expand()) out.push_back(s.fingerprint());
+  return out;
+}
+
+/// declare() with the campaign file holding `text`.
+ScenarioMatrix declare_with_file(const StoreDir& dir, const std::string& text,
+                                 const MatrixFlags& flags) {
+  fs::create_directories(dir.path());
+  const std::string path = dir.path() + "/matrix.campaign";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  return ScenarioMatrix::declare(path, flags);
+}
+
+TEST(MatrixFlagsTest, EveryDirectiveIsAFlagWithTheFileLinesMeaning) {
+  StoreDir dir("hmpt_matrix_flags");
+  const MatrixFlags base_flags = {{"--workload", "mg"}};
+  const auto baseline = fingerprints_of(ScenarioMatrix::declare("", base_flags));
+  EXPECT_EQ(ScenarioMatrix::declare("", base_flags).platforms,
+            std::vector<std::string>{"xeon-max"});
+  EXPECT_EQ(ScenarioMatrix::declare("", base_flags).strategies,
+            std::vector<std::string>{"exhaustive"});
+
+  for (const auto& row : every_directive()) {
+    const std::string flag = "--" + row.directive;
+    EXPECT_TRUE(ScenarioMatrix::is_flag(flag)) << flag;
+    EXPECT_FALSE(ScenarioMatrix::is_flag(row.directive)) << row.directive;
+
+    // A flag and the equivalent file line declare the same scenarios in
+    // the same order, so the same campaign.
+    MatrixFlags flags = base_flags;
+    flags.emplace_back(flag, row.first);
+    const auto from_flags = ScenarioMatrix::declare("", flags);
+    const auto from_file = declare_with_file(
+        dir, "workload mg\n" + row.directive + " " + row.first + "\n", {});
+    const auto fps = fingerprints_of(from_flags);
+    EXPECT_EQ(fps, fingerprints_of(from_file)) << flag;
+    EXPECT_EQ(campaign_fingerprint(from_flags.expand()),
+              campaign_fingerprint(from_file.expand()))
+        << flag;
+    EXPECT_NE(fps, baseline) << flag << " changed nothing";
+
+    // Flags apply after the file: they append to its axes and override
+    // its single-valued reps/top-k — exactly as if they were further
+    // lines at the end of the file.
+    const std::string file_text = "workload mg\n" + row.directive + " " +
+                                  row.first + "\n";
+    const auto mixed = declare_with_file(dir, file_text,
+                                         {{flag, row.second}});
+    const auto as_lines = declare_with_file(
+        dir, file_text + row.directive + " " + row.second + "\n", {});
+    EXPECT_EQ(fingerprints_of(mixed), fingerprints_of(as_lines)) << flag;
+    EXPECT_EQ(campaign_fingerprint(mixed.expand()),
+              campaign_fingerprint(as_lines.expand()))
+        << flag;
+  }
+
+  // The axes, spelled out: file values first, flag values after.
+  const auto mixed = declare_with_file(
+      dir,
+      "workload mg\nplatform spr-cxl\nstrategy online\ntiers 2\n"
+      "budget-gb 16\ntier-budget-gb 2:64\nreps 2\ntop-k 4\n",
+      {{"--workload", "kwave"}, {"--platform", "xeon-max"},
+       {"--strategy", "estimator"}, {"--tiers", "3"}, {"--budget-gb", "0.5"},
+       {"--tier-budget-gb", "1:8"}, {"--reps", "5"}, {"--top-k", "6"}});
+  ASSERT_EQ(mixed.workloads.size(), 2u);
+  EXPECT_EQ(mixed.workloads[0].name, "mg");
+  EXPECT_EQ(mixed.workloads[1].name, "kwave");
+  EXPECT_EQ(mixed.platforms, (std::vector<std::string>{"spr-cxl", "xeon-max"}));
+  EXPECT_EQ(mixed.strategies,
+            (std::vector<std::string>{"online", "estimator"}));
+  EXPECT_EQ(mixed.tiers, (std::vector<int>{2, 3}));
+  EXPECT_EQ(mixed.budgets_gb, (std::vector<double>{16.0, 0.5}));
+  EXPECT_EQ(mixed.tier_budgets_gb,
+            (std::vector<std::pair<int, double>>{{2, 64.0}, {1, 8.0}}));
+  EXPECT_EQ(mixed.repetitions, 5);
+  EXPECT_EQ(mixed.top_k, 6);
+
+  for (const std::string not_a_flag : {"--out", "--", "-tiers", "tiers", ""})
+    EXPECT_FALSE(ScenarioMatrix::is_flag(not_a_flag)) << not_a_flag;
+}
+
+TEST(MatrixFlagsTest, MalformedValuesNameTheFlagAndTheToken) {
+  struct Bad {
+    std::string directive;
+    std::string value;
+    std::string message;
+  };
+  const std::vector<Bad> bad = {
+      {"tiers", "2x", "not an integer: '2x'"},
+      {"reps", "2x", "not an integer: '2x'"},
+      {"top-k", "3.5", "not an integer: '3.5'"},
+      {"budget-gb", "inf", "not a finite number: 'inf'"},
+      {"budget-gb", "1e999", "not a finite number: '1e999'"},
+      {"tier-budget-gb", "2x:64", "not an integer: '2x'"},
+      {"tier-budget-gb", "2:inf", "not a finite number: 'inf'"},
+      {"tier-budget-gb", "64", "expects tier:gb"},
+      {"workload", "mg:scale", "scale"},
+  };
+  for (const auto& b : bad) {
+    const std::string flag = "--" + b.directive;
+    const auto as_flag = error_text_of([&] {
+      ScenarioMatrix::declare("", {{"--workload", "mg"}, {flag, b.value}});
+    });
+    EXPECT_NE(as_flag.find(flag + ": "), std::string::npos) << as_flag;
+    EXPECT_NE(as_flag.find(b.message), std::string::npos) << as_flag;
+
+    const auto as_line = error_text_of([&] {
+      ScenarioMatrix::parse("workload mg\n" + b.directive + " " + b.value +
+                            "\n");
+    });
+    EXPECT_NE(as_line.find("campaign file line 2: " + b.directive),
+              std::string::npos)
+        << as_line;
+    EXPECT_NE(as_line.find(b.message), std::string::npos) << as_line;
+  }
+  EXPECT_THROW(ScenarioMatrix().apply("frobnicate", "1"), Error);
+}
+
 TEST(WorkloadRegistryTest, MalformedParametersNameTheOffendingKey) {
   auto sim = sim::MachineSimulator::paper_platform();
   auto& registry = WorkloadRegistry::instance();

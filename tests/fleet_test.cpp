@@ -4,7 +4,7 @@
 // over worker counts and steal thresholds (coverage exact, stores
 // disjoint after dedup), tolerant manifest tailing under a
 // truncated-write simulator, assignment-file round trips, and the
-// hmpt_fleet / hmpt_campaign --fleet CLIs. Workers here are real
+// hmpt_campaign --fleet CLI. Workers here are real
 // hmpt_campaign child processes (HMPT_CAMPAIGN_PATH), so the whole
 // plan/assign/progress-manifest protocol is exercised end to end.
 #include <gtest/gtest.h>
@@ -393,7 +393,7 @@ int run_cli(const std::string& cmd) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
 }
 
-TEST(FleetCliTest, FleetBinaryAndCampaignFleetFlagReproduceReferenceBytes) {
+TEST(FleetCliTest, CampaignFleetFlagReproducesReferenceBytes) {
   TempDir root("hmpt_fleet_cli");
 
   // A 2-scenario campaign (mg × estimator/online), reps 1.
@@ -405,15 +405,16 @@ TEST(FleetCliTest, FleetBinaryAndCampaignFleetFlagReproduceReferenceBytes) {
   const auto full = matrix.expand();
   const auto ref = reference_run(full, root.path() + "/ref");
 
-  const std::string campaign_flags =
+  const std::string campaign = std::string(HMPT_CAMPAIGN_PATH) +
       " --workload mg --strategy estimator --strategy online --reps 1";
+  const std::string report = "/report/index.html";
   {
     const std::string out = root.path() + "/fleet";
     const std::string log = root.path() + "/fleet.log";
     const std::string trace = root.path() + "/fleet-trace.json";
-    const int rc = run_cli(std::string(HMPT_FLEET_PATH) + campaign_flags +
-                           " --workers 2 --poll-interval 0.05 --out " + out +
-                           " --trace " + trace + " > " + log + " 2>&1");
+    const int rc = run_cli(campaign + " --fleet 2 --poll-interval 0.05 --out " +
+                           out + " --trace " + trace + " --report > " + log +
+                           " 2>&1");
     ASSERT_EQ(rc, 0) << slurp(log);
     expect_identical_artifacts(out, ref, full);
     // The dispatch left fleet lifecycle spans in the trace.
@@ -423,25 +424,29 @@ TEST(FleetCliTest, FleetBinaryAndCampaignFleetFlagReproduceReferenceBytes) {
     // The merged store is a complete 1/1 campaign of its own: manifest
     // included, so hmpt_merge can regenerate artefacts from it.
     EXPECT_NO_THROW(ShardManifest::load(out));
+    // The scenarios ran in the workers, so the dispatcher's trace has no
+    // per-job timeline: the report is the untraced run's, byte for byte.
+    const std::string untraced = root.path() + "/fleet-untraced";
+    ASSERT_EQ(run_cli(campaign + " --fleet 2 --poll-interval 0.05 --out " +
+                      untraced + " --report > " + log + " 2>&1"),
+              0)
+        << slurp(log);
+    expect_identical_artifacts(untraced, ref, full);
+    EXPECT_EQ(slurp(out + report), slurp(untraced + report));
   }
-  {
-    const std::string out = root.path() + "/campaign-fleet";
-    const std::string log = root.path() + "/campaign-fleet.log";
-    const int rc = run_cli(std::string(HMPT_CAMPAIGN_PATH) + campaign_flags +
-                           " --fleet 2 --poll-interval 0.05 --out " + out +
-                           " > " + log + " 2>&1");
-    ASSERT_EQ(rc, 0) << slurp(log);
-    expect_identical_artifacts(out, ref, full);
-  }
-  {
-    // Bad combinations are usage errors (exit 1), not crashes.
-    const std::string log = root.path() + "/bad.log";
-    EXPECT_EQ(run_cli(std::string(HMPT_CAMPAIGN_PATH) + campaign_flags +
-                      " --fleet 2 --shard 1/2 > " + log + " 2>&1"),
-              1);
-    EXPECT_EQ(run_cli(std::string(HMPT_FLEET_PATH) + campaign_flags +
-                      " > " + log + " 2>&1"),
-              1);  // --workers is required
+  // Bad combinations and bad dispatcher knobs are usage errors (exit 1 and
+  // the usage text), never run-time failures (exit 2) or crashes.
+  const std::string log = root.path() + "/bad.log";
+  for (const std::string bad :
+       {" --fleet 0", " --fleet 2 --shard 1/2", " --fleet 2 --max-deals 0",
+        " --fleet 2 --poll-interval 0", " --fleet 2 --poll-interval -1",
+        " --max-deals 2", " --poll-interval 0.1", " --straggler-after 1",
+        " --worker-bin /bin/false"}) {
+    EXPECT_EQ(run_cli(campaign + bad + " --out " + root.path() + "/bad > " +
+                      log + " 2>&1"),
+              1)
+        << bad << ": " << slurp(log);
+    EXPECT_NE(slurp(log).find("usage:"), std::string::npos) << bad;
   }
 }
 

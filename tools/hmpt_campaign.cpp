@@ -33,8 +33,12 @@
 // unsharded artefacts byte-for-byte.
 //
 // --fleet N runs the whole campaign as N shard worker processes with
-// work stealing and merges the result in-process (see src/fleet/fleet.h
-// and the dedicated hmpt_fleet tool — this flag is the same dispatcher).
+// work stealing and merges the result in-process into artefacts
+// byte-identical to an unsharded run (src/fleet/fleet.h, docs/FLEET.md).
+// The workers are this same binary unless --worker-bin names another;
+// --exec-template launches each through /bin/sh -c with {cmd} and
+// {index} substituted ("ssh node{index} {cmd}" makes an ssh fleet), and
+// --sync-template pulls each store back before the merge.
 // --plan/--assign/--progress-manifest are the worker side of that
 // protocol: run the exact scenario list of a dispatcher-written plan
 // file, restricted to an assigned fingerprint set, rewriting the shard
@@ -42,18 +46,20 @@
 // a SIGKILLed worker leaves a valid manifest.
 //
 // Exit codes: 0 success, 1 bad usage, 2 campaign failure (including any
-// failed scenario under --keep-going).
+// failed scenario under --keep-going; under --fleet also a worker that
+// failed under fail-fast, a scenario past its deal cap, or a merge that
+// found conflicting bytes).
 #include <unistd.h>
 
-#include <cerrno>
 #include <climits>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/aggregate.h"
@@ -114,7 +120,7 @@ void usage(const char* argv0) {
       << "  --fleet N                  run the campaign as N shard worker\n"
       << "                             processes with work stealing, then\n"
       << "                             merge (artefacts byte-identical to\n"
-      << "                             an unsharded run; see hmpt_fleet)\n"
+      << "                             an unsharded run)\n"
       << "  --worker-bin PATH          fleet: worker binary (default:\n"
       << "                             this binary)\n"
       << "  --exec-template T          fleet: launch each worker via\n"
@@ -174,19 +180,19 @@ std::string self_exe_path() {
 
 int main(int argc, char** argv) {
   std::string campaign_file;
-  campaign::ScenarioMatrix flags;  // axes added by CLI flags
+  // (--directive, value) pairs in command-line order; see declare().
+  std::vector<std::pair<std::string, std::string>> matrix_flags;
   campaign::CampaignOptions options;
   campaign::ShardSpec shard;  // default 1/1 = the whole campaign
-  int reps = -1;    // -1 = not set on the command line
-  int top_k = -1;
   bool quiet = false;
   bool write_html_report = false;
   std::string trace_path;
   std::string plan_path;    // --plan: dispatcher-written scenario list
   std::string assign_path;  // --assign: fingerprint subset to run
   bool progress_manifest = false;
-  int fleet_workers = 0;  // --fleet N; 0 = no fleet, run in-process
+  int fleet_workers = 0;  // --fleet N (>= 1); 0 = run in-process
   fleet::FleetOptions fleet_options;
+  std::string fleet_only_flag;  // last dispatcher knob given, if any
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -197,35 +203,12 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--workload") {
-      try {
-        flags.workloads.push_back(campaign::parse_workload_spec(next()));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << '\n';
-        usage(argv[0]);
-        return 1;
-      }
-    }
-    else if (arg == "--platform") flags.platforms.emplace_back(next());
-    else if (arg == "--strategy") flags.strategies.emplace_back(next());
-    else if (arg == "--tiers")
-      flags.tiers.push_back(parse_int(argv[0], arg, next()));
-    else if (arg == "--budget-gb")
-      flags.budgets_gb.push_back(parse_double(argv[0], arg, next()));
-    else if (arg == "--tier-budget-gb") {
-      const std::string spec = next();
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--tier-budget-gb expects T:N (e.g. 2:64)\n";
-        usage(argv[0]);
-        return 1;
-      }
-      flags.tier_budgets_gb.emplace_back(
-          parse_int(argv[0], arg, spec.substr(0, colon).c_str()),
-          parse_double(argv[0], arg, spec.substr(colon + 1).c_str()));
-    }
-    else if (arg == "--reps") reps = parse_int(argv[0], arg, next());
-    else if (arg == "--top-k") top_k = parse_int(argv[0], arg, next());
+    const auto fleet_value = [&] {
+      fleet_only_flag = arg;
+      return next();
+    };
+    if (campaign::ScenarioMatrix::is_flag(arg))
+      matrix_flags.emplace_back(arg, next());
     else if (arg == "--out") options.output_dir = next();
     else if (arg == "--store-format") {
       try {
@@ -248,17 +231,26 @@ int main(int argc, char** argv) {
     else if (arg == "--plan") plan_path = next();
     else if (arg == "--assign") assign_path = next();
     else if (arg == "--progress-manifest") progress_manifest = true;
-    else if (arg == "--fleet")
+    else if (arg == "--fleet") {
       fleet_workers = parse_int(argv[0], arg, next());
-    else if (arg == "--worker-bin") fleet_options.worker_bin = next();
-    else if (arg == "--exec-template") fleet_options.exec_template = next();
-    else if (arg == "--sync-template") fleet_options.sync_template = next();
+      if (fleet_workers < 1) {
+        std::cerr << "--fleet must be >= 1\n";
+        usage(argv[0]);
+        return 1;
+      }
+    }
+    else if (arg == "--worker-bin") fleet_options.worker_bin = fleet_value();
+    else if (arg == "--exec-template")
+      fleet_options.exec_template = fleet_value();
+    else if (arg == "--sync-template")
+      fleet_options.sync_template = fleet_value();
     else if (arg == "--straggler-after")
-      fleet_options.straggler_after_s = parse_double(argv[0], arg, next());
+      fleet_options.straggler_after_s =
+          parse_double(argv[0], arg, fleet_value());
     else if (arg == "--poll-interval")
-      fleet_options.poll_interval_s = parse_double(argv[0], arg, next());
+      fleet_options.poll_interval_s = parse_double(argv[0], arg, fleet_value());
     else if (arg == "--max-deals")
-      fleet_options.max_deals = parse_int(argv[0], arg, next());
+      fleet_options.max_deals = parse_int(argv[0], arg, fleet_value());
     else if (arg == "--resume") options.resume = true;
     else if (arg == "--dry-run") options.dry_run = true;
     else if (arg == "--keep-going") options.keep_going = true;
@@ -304,18 +296,8 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 1;
   }
-  if ((reps != -1 && reps < 1) || (top_k != -1 && top_k < 1)) {
-    std::cerr << "--reps/--top-k must be >= 1\n";
-    usage(argv[0]);
-    return 1;
-  }
   if (options.attempts < 1 || options.scenario_timeout_s < 0.0) {
     std::cerr << "--retries and --scenario-timeout must be >= 0\n";
-    usage(argv[0]);
-    return 1;
-  }
-  if (fleet_workers < 0) {
-    std::cerr << "--fleet must be >= 1\n";
     usage(argv[0]);
     return 1;
   }
@@ -326,11 +308,13 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 1;
   }
-  if (fleet_workers == 0 &&
-      (!fleet_options.worker_bin.empty() ||
-       !fleet_options.exec_template.empty() ||
-       !fleet_options.sync_template.empty())) {
-    std::cerr << "--worker-bin/--exec-template/--sync-template need --fleet\n";
+  if (fleet_workers == 0 && !fleet_only_flag.empty()) {
+    std::cerr << fleet_only_flag << " needs --fleet\n";
+    usage(argv[0]);
+    return 1;
+  }
+  if (fleet_options.max_deals < 1 || fleet_options.poll_interval_s <= 0.0) {
+    std::cerr << "--max-deals must be >= 1 and --poll-interval > 0\n";
     usage(argv[0]);
     return 1;
   }
@@ -344,43 +328,15 @@ int main(int argc, char** argv) {
       // A plan file *is* the campaign — mixing in matrix axes would
       // change the campaign fingerprint out from under the dispatcher
       // that wrote the plan.
-      const bool matrix_input =
-          !campaign_file.empty() || !flags.workloads.empty() ||
-          !flags.platforms.empty() || !flags.strategies.empty() ||
-          !flags.tiers.empty() || !flags.budgets_gb.empty() ||
-          !flags.tier_budgets_gb.empty() || reps != -1 || top_k != -1;
-      if (matrix_input)
+      if (!campaign_file.empty() || !matrix_flags.empty())
         raise("--plan replaces the campaign file and matrix flags");
       scenarios = campaign::load_scenario_plan(plan_path);
     } else {
-      // The campaign file provides the base matrix; flags append to its
-      // axes, so "hmpt_campaign nightly.campaign --platform knl" widens
-      // the declared campaign by one platform.
-      campaign::ScenarioMatrix matrix;
-      if (!campaign_file.empty())
-        matrix = campaign::ScenarioMatrix::load(campaign_file);
-      matrix.workloads.insert(matrix.workloads.end(),
-                              flags.workloads.begin(),
-                              flags.workloads.end());
-      matrix.platforms.insert(matrix.platforms.end(),
-                              flags.platforms.begin(),
-                              flags.platforms.end());
-      matrix.strategies.insert(matrix.strategies.end(),
-                               flags.strategies.begin(),
-                               flags.strategies.end());
-      matrix.tiers.insert(matrix.tiers.end(), flags.tiers.begin(),
-                          flags.tiers.end());
-      matrix.budgets_gb.insert(matrix.budgets_gb.end(),
-                               flags.budgets_gb.begin(),
-                               flags.budgets_gb.end());
-      matrix.tier_budgets_gb.insert(matrix.tier_budgets_gb.end(),
-                                    flags.tier_budgets_gb.begin(),
-                                    flags.tier_budgets_gb.end());
-      if (reps != -1) matrix.repetitions = reps;
-      if (top_k != -1) matrix.top_k = top_k;
-      if (matrix.platforms.empty()) matrix.platforms = {"xeon-max"};
-      if (matrix.strategies.empty()) matrix.strategies = {"exhaustive"};
-      scenarios = matrix.expand();
+      // "hmpt_campaign nightly.campaign --platform knl" widens the
+      // declared campaign by one platform.
+      scenarios =
+          campaign::ScenarioMatrix::declare(campaign_file, matrix_flags)
+              .expand();
     }
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n';
@@ -416,73 +372,9 @@ int main(int argc, char** argv) {
                              : campaign::shard_scenarios(scenarios, shard);
   }
 
-  if (fleet_workers > 0) {
-    // Fleet mode: this process becomes the dispatcher; the campaign runs
-    // in worker child processes and is merged in-process at the end.
-    if (options.dry_run) {
-      std::cout << "campaign: " << scenarios.size() << " scenarios, fleet of "
-                << fleet_workers << " workers\n"
-                << campaign::plan_table(scenarios).to_text()
-                << "\ndry run: nothing executed\n";
-      return 0;
-    }
-    try {
-      if (!trace_path.empty()) obs::TraceRecorder::instance().start();
-      fleet_options.workers = fleet_workers;
-      fleet_options.output_dir = options.output_dir;
-      fleet_options.store_format = options.store_format;
-      fleet_options.worker_jobs = options.scenario_jobs;
-      fleet_options.measure_jobs = options.measure_jobs;
-      fleet_options.attempts = options.attempts;
-      fleet_options.scenario_timeout_s = options.scenario_timeout_s;
-      fleet_options.keep_going = options.keep_going;
-      if (fleet_options.worker_bin.empty())
-        fleet_options.worker_bin = self_exe_path();
-      if (fleet_options.worker_bin.empty())
-        raise("cannot resolve this binary's path; pass --worker-bin");
-
-      std::cout << "campaign: " << scenarios.size() << " scenarios, fleet of "
-                << fleet_workers << " workers\n"
-                << campaign::plan_table(scenarios).to_text() << "\n";
-      fleet::FleetStats stats;
-      const auto result = fleet::run_fleet(
-          scenarios, fleet_options, &stats,
-          quiet ? fleet::FleetLog{} : fleet::FleetLog{[](const std::string& m) {
-            std::cout << m << "\n";
-          }});
-      campaign::make_manifest(scenarios, campaign::ShardSpec{}, result)
-          .save(options.output_dir);
-      const auto paths =
-          campaign::write_artifacts(result, options.output_dir);
-      std::cout << "\nranked scenarios:\n"
-                << campaign::ranked_table(result).to_text();
-      std::cout << "\nfleet of " << stats.workers << ": " << stats.launches
-                << " launches, " << stats.steals << " steals, "
-                << stats.worker_deaths << " worker deaths; merged "
-                << stats.merge.outcomes_merged << " outcomes ("
-                << stats.merge.overlapping << " overlapping, "
-                << stats.merge.failed << " failed)\n";
-      for (const auto& path : paths) std::cout << "wrote " << path << "\n";
-      if (!trace_path.empty()) {
-        obs::TraceRecorder::instance().stop_and_write(trace_path);
-        std::cout << "wrote " << trace_path << "\n";
-      }
-      if (write_html_report)
-        std::cout << "wrote "
-                  << report::write_report(result, options.output_dir) << "\n";
-      std::cout << "outcome store: " << options.output_dir
-                << (options.store_format == campaign::StoreFormat::Packed
-                        ? "/outcomes.log"
-                        : "/outcomes/")
-                << "\n";
-      return result.ok() ? 0 : 2;
-    } catch (const std::exception& e) {
-      std::cerr << "fleet failed: " << e.what() << '\n';
-      return 2;
-    }
-  }
-
   std::cout << "campaign: " << scenarios.size() << " scenarios";
+  if (fleet_workers > 0)
+    std::cout << ", fleet of " << fleet_workers << " workers";
   if (!shard.is_whole() || !assign_path.empty())
     std::cout << " (fingerprint "
               << campaign::campaign_fingerprint(scenarios) << "), "
@@ -501,50 +393,87 @@ int main(int argc, char** argv) {
     // and the stop below lands in the trace. Purely observational: the
     // artefacts written further down are byte-identical either way.
     if (!trace_path.empty()) obs::TraceRecorder::instance().start();
-    const campaign::CampaignRunner runner(options);
-    // --progress-manifest: the manifest is rewritten atomically after
-    // every scenario instead of once at the end, so a fleet dispatcher
-    // can tail it and a kill at any instant leaves a valid manifest of
-    // exactly the finished scenarios.
-    std::optional<campaign::ManifestProgress> progress;
-    if (progress_manifest)
-      progress.emplace(scenarios, shard, options.output_dir);
-    const auto result = runner.run(
-        slice, [&](std::size_t index, const campaign::ScenarioRun& run) {
-          if (progress) progress->record(run);
-          if (quiet) return;
-          std::cout << "[" << index + 1 << "/" << slice.size() << "] "
-                    << campaign::to_string(run.status) << " "
-                    << run.scenario.label();
-          if (run.status == campaign::ScenarioRun::Status::Executed ||
-              run.status == campaign::ScenarioRun::Status::Cached)
-            std::cout << " — " << cell(run.outcome.speedup, 2) << "x";
-          if (run.status == campaign::ScenarioRun::Status::Failed)
-            std::cout << " — " << run.error;
-          std::cout << "\n";
-        });
-
-    // Every real run leaves a manifest so its store can be validated and
-    // merged (an unsharded run is the 1/1 shard of its own campaign).
-    // Under --progress-manifest the incremental writer already holds the
-    // union of this and any earlier generation's entries — writing
-    // make_manifest's snapshot instead would drop the earlier ones.
-    if (!progress)
-      campaign::make_manifest(scenarios, shard, result)
+    campaign::CampaignResult result;
+    std::ostringstream totals;  // the run's one-line tally
+    if (fleet_workers > 0) {
+      // Fleet mode: this process becomes the dispatcher; the campaign
+      // runs in worker child processes and is merged in-process.
+      fleet_options.workers = fleet_workers;
+      fleet_options.output_dir = options.output_dir;
+      fleet_options.store_format = options.store_format;
+      fleet_options.worker_jobs = options.scenario_jobs;
+      fleet_options.measure_jobs = options.measure_jobs;
+      fleet_options.attempts = options.attempts;
+      fleet_options.scenario_timeout_s = options.scenario_timeout_s;
+      fleet_options.keep_going = options.keep_going;
+      if (fleet_options.worker_bin.empty())
+        fleet_options.worker_bin = self_exe_path();
+      if (fleet_options.worker_bin.empty())
+        raise("cannot resolve this binary's path; pass --worker-bin");
+      fleet::FleetStats stats;
+      result = fleet::run_fleet(
+          scenarios, fleet_options, &stats,
+          quiet ? fleet::FleetLog{} : fleet::FleetLog{[](const std::string& m) {
+            std::cout << m << "\n";
+          }});
+      // The merged store is a complete 1/1 campaign of its own.
+      campaign::make_manifest(scenarios, campaign::ShardSpec{}, result)
           .save(options.output_dir);
+      totals << "fleet of " << stats.workers << ": " << stats.launches
+             << " launches, " << stats.steals << " steals, "
+             << stats.worker_deaths << " worker deaths; merged "
+             << stats.merge.outcomes_merged << " outcomes ("
+             << stats.merge.overlapping << " overlapping, "
+             << stats.merge.failed << " failed)";
+    } else {
+      const campaign::CampaignRunner runner(options);
+      // --progress-manifest: the manifest is rewritten atomically after
+      // every scenario instead of once at the end, so a fleet dispatcher
+      // can tail it and a kill at any instant leaves a valid manifest of
+      // exactly the finished scenarios.
+      std::optional<campaign::ManifestProgress> progress;
+      if (progress_manifest)
+        progress.emplace(scenarios, shard, options.output_dir);
+      result = runner.run(
+          slice, [&](std::size_t index, const campaign::ScenarioRun& run) {
+            if (progress) progress->record(run);
+            if (quiet) return;
+            std::cout << "[" << index + 1 << "/" << slice.size() << "] "
+                      << campaign::to_string(run.status) << " "
+                      << run.scenario.label();
+            if (run.status == campaign::ScenarioRun::Status::Executed ||
+                run.status == campaign::ScenarioRun::Status::Cached)
+              std::cout << " — " << cell(run.outcome.speedup, 2) << "x";
+            if (run.status == campaign::ScenarioRun::Status::Failed)
+              std::cout << " — " << run.error;
+            std::cout << "\n";
+          });
+      // Every real run leaves a manifest so its store can be validated
+      // and merged (an unsharded run is the 1/1 shard of its own
+      // campaign). Under --progress-manifest the incremental writer
+      // already holds the union of this and any earlier generation's
+      // entries — writing make_manifest's snapshot instead would drop
+      // the earlier ones.
+      if (!progress)
+        campaign::make_manifest(scenarios, shard, result)
+            .save(options.output_dir);
+      totals << "executed " << result.executed << ", cached "
+             << result.cached << ", failed " << result.failed << " of "
+             << result.runs.size() << " scenarios in "
+             << cell(result.seconds, 2) << " s";
+    }
 
     const auto paths =
         campaign::write_artifacts(result, options.output_dir);
     std::cout << "\nranked scenarios:\n"
-              << campaign::ranked_table(result).to_text();
-    std::cout << "\nexecuted " << result.executed << ", cached "
-              << result.cached << ", failed " << result.failed << " of "
-              << result.runs.size() << " scenarios in "
-              << cell(result.seconds, 2) << " s\n";
+              << campaign::ranked_table(result).to_text() << "\n"
+              << totals.str() << "\n";
     for (const auto& path : paths) std::cout << "wrote " << path << "\n";
     std::cout << "wrote "
               << campaign::ShardManifest::path_in(options.output_dir)
               << "\n";
+    // A fleet dispatcher's trace holds no scenario spans (they ran in the
+    // workers), so its report has no timeline section.
     std::optional<report::TraceTimeline> timeline;
     if (!trace_path.empty()) {
       obs::TraceRecorder::instance().stop_and_write(trace_path);
@@ -557,8 +486,8 @@ int main(int argc, char** argv) {
                 << report::write_report(result, options.output_dir, "",
                                         timeline ? &*timeline : nullptr)
                 << "\n";
-    std::cout << "outcome store: " << runner.store().directory()
-              << (runner.store().format() == campaign::StoreFormat::Packed
+    std::cout << "outcome store: " << options.output_dir
+              << (options.store_format == campaign::StoreFormat::Packed
                       ? "/outcomes.log"
                       : "/outcomes/")
               << "\n";
