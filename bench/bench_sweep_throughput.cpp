@@ -205,7 +205,6 @@ int main(int argc, char** argv) {
     for (const auto& variant : variants) {
       tuner::ExperimentOptions options;
       options.repetitions = kReps;
-      options.gray_order = true;
       options.jobs = variant.jobs;
       options.memoize = variant.memoize;
       tuner::ExperimentRunner runner(simulator, app.context, options);

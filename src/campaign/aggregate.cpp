@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/units.h"
 #include "core/report.h"
 
@@ -169,11 +169,7 @@ std::vector<std::string> write_artifacts(const CampaignResult& result,
 
   const auto write = [&](const std::string& name, const std::string& text) {
     const std::string path = (fs::path(output_dir) / name).string();
-    std::ofstream os(path);
-    if (!os.good()) raise("cannot write " + path);
-    os << text;
-    os.flush();
-    if (!os.good()) raise("short write to " + path);
+    publish_file(path, text);
     return path;
   };
 

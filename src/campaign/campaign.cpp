@@ -159,15 +159,12 @@ CampaignRunner::CampaignRunner(CampaignOptions options)
       store_(options_.output_dir, options_.store_format) {
   HMPT_REQUIRE(options_.scenario_jobs >= 0,
                "scenario_jobs must be >= 0 (0 = all hardware threads)");
-  HMPT_REQUIRE(options_.measure_jobs >= 0,
-               "measure_jobs must be >= 0 (0 = all hardware threads)");
   HMPT_REQUIRE(options_.attempts >= 1, "attempts must be >= 1");
   HMPT_REQUIRE(options_.scenario_timeout_s >= 0.0,
                "scenario_timeout_s must be >= 0 (0 = none)");
 }
 
-tuner::TuningOutcome CampaignRunner::execute(const Scenario& scenario,
-                                             int measure_jobs) {
+tuner::TuningOutcome CampaignRunner::execute(const Scenario& scenario) {
   auto simulator = make_platform(scenario.platform);
   const auto resolved = WorkloadRegistry::instance().create(
       scenario.workload, simulator);
@@ -181,7 +178,7 @@ tuner::TuningOutcome CampaignRunner::execute(const Scenario& scenario,
                      .repetitions(scenario.repetitions)
                      .budget_gb(scenario.budget_gb)
                      .top_k(scenario.top_k)
-                     .jobs(measure_jobs);
+                     .jobs(1);
   if (resolved.context.has_value()) session.context(*resolved.context);
   for (const auto& [tier, gb] : scenario.tier_budgets_gb)
     session.tier_budget_gb(tier, gb);
@@ -255,7 +252,7 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios,
             obs::TraceSpan attempt_span("campaign", "attempt");
             attempt_span.arg("fingerprint", run.fingerprint);
             token.check();
-            auto outcome = execute(run.scenario, options_.measure_jobs);
+            auto outcome = execute(run.scenario);
             store_.append(run.scenario, outcome);
             return outcome;
           });

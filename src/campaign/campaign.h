@@ -42,12 +42,9 @@ struct CampaignOptions {
   /// Record failed scenarios and keep running (exit status reports them);
   /// false = fail fast, first error aborts the campaign.
   bool keep_going = false;
-  /// Concurrent scenarios (1 = serial, 0 = all hardware threads).
+  /// Concurrent scenarios (1 = serial, 0 = all hardware threads), the
+  /// campaign's one level of parallelism: each scenario tunes serially.
   int scenario_jobs = 1;
-  /// Measurement worker threads inside each scenario's Session. The
-  /// default keeps one thread per scenario — scenario-level parallelism
-  /// composes badly with nested measurement pools.
-  int measure_jobs = 1;
   /// Execution attempts per scenario (>= 1; 1 = fail fast). Transient
   /// failures are retried with the same deterministic backoff the daemon
   /// scheduler uses (common/retry); terminal errors never retry.
@@ -130,10 +127,10 @@ class CampaignRunner {
                      const ScenarioCallback& on_scenario = {}) const;
 
   /// Execute one scenario end to end: build the platform, resolve the
-  /// workload by name, tune through a Session. Public so single-scenario
-  /// callers (tests, tools) share the exact campaign execution path.
-  static tuner::TuningOutcome execute(const Scenario& scenario,
-                                      int measure_jobs = 1);
+  /// workload by name, tune through a serial Session. Public so
+  /// single-scenario callers (tests, tools) share the exact campaign
+  /// execution path.
+  static tuner::TuningOutcome execute(const Scenario& scenario);
 
  private:
   CampaignOptions options_;

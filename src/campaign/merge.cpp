@@ -1,48 +1,15 @@
 #include "campaign/merge.h"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "common/error.h"
-#include "core/outcome_io.h"
+#include "common/file_io.h"
 
 namespace hmpt::campaign {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) raise("cannot read " + path);
-  std::stringstream buffer;
-  buffer << is.rdbuf();
-  return buffer.str();
-}
-
-/// Atomic write (temp + rename), the same discipline as OutcomeStore.
-void spill(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary);
-    if (!os.good()) raise("cannot write " + tmp);
-    os << bytes;
-    os.flush();
-    if (!os.good()) raise("short write to " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    raise("cannot finalise " + path + ": " + ec.message());
-  }
-}
-
-}  // namespace
 
 // ----------------------------------------------------------- ShardManifest
 
@@ -119,17 +86,17 @@ void ShardManifest::save(const std::string& store_dir) const {
   fs::create_directories(store_dir, ec);
   if (ec)
     raise("cannot create shard store at " + store_dir + ": " + ec.message());
-  spill(path_in(store_dir), to_json().dump());
+  publish_file(path_in(store_dir), to_json().dump());
 }
 
 ShardManifest ShardManifest::load(const std::string& store_dir) {
   const std::string path = path_in(store_dir);
-  std::ifstream is(path);
-  if (!is.good())
+  const auto text = read_file(path);
+  if (!text)
     raise("no shard manifest at " + path +
           " (not a shard outcome store, or the shard run never finished)");
   try {
-    return from_json(Json::parse(slurp(path)));
+    return from_json(Json::parse(*text));
   } catch (const std::exception& e) {
     raise("corrupt shard manifest " + path + ": " + e.what());
   }
@@ -399,15 +366,8 @@ CampaignResult merge_shards(const std::vector<std::string>& shard_dirs,
         raise("shard " + shard_dirs[owner.shard] + " marks scenario " + fp +
               " complete but its outcome record is missing or damaged");
       try {
-        const Json doc = Json::parse(it->second);
-        HMPT_REQUIRE(static_cast<int>(
-                         doc.at("format_version").as_number()) ==
-                         kFingerprintVersion,
-                     "outcome format version mismatch");
-        HMPT_REQUIRE(doc.at("fingerprint").as_string() == fp,
-                     "outcome record is keyed by a different fingerprint");
-        run.outcome = tuner::outcome_from_json(doc.at("outcome"));
-      } catch (const std::exception& e) {
+        run.outcome = decode_payload(it->second, fp).outcome;
+      } catch (const Error& e) {
         raise("corrupt outcome record for fingerprint " + fp + " from " +
               shard_dirs[owner.shard] + ": " + e.what());
       }

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +16,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "core/outcome_io.h"
 #include "obs/trace.h"
 
@@ -43,25 +43,36 @@ std::optional<StoreFormat> detect_store_format(const std::string& directory) {
   return std::nullopt;
 }
 
+StoredRecord decode_payload(const std::string& bytes,
+                            const std::string& fingerprint) {
+  try {
+    const Json doc = Json::parse(bytes);
+    if (static_cast<int>(doc.at("format_version").as_number()) !=
+        kFingerprintVersion)
+      raise("outcome format version mismatch");
+    if (doc.at("fingerprint").as_string() != fingerprint)
+      raise("outcome record is keyed by a different fingerprint");
+    return {Scenario::from_json(doc.at("scenario")),
+            tuner::outcome_from_json(doc.at("outcome"))};
+  } catch (const Error&) {
+    throw;
+  } catch (const std::exception& e) {
+    raise(e.what());
+  }
+}
+
 namespace {
 
-/// Parse a stored outcome document's bytes; false (not a throw) on any
-/// damage — invalid JSON (truncation lands here), version or fingerprint
-/// mismatch, malformed outcome payload.
+/// decode_payload() as a verdict: false (not a throw) on any damage, the
+/// decoded outcome moved into `out` when non-null.
 bool parse_outcome_payload(const std::string& text,
                            const std::string& fingerprint,
                            std::optional<tuner::TuningOutcome>* out) {
   try {
-    const Json doc = Json::parse(text);
-    HMPT_REQUIRE(static_cast<int>(doc.at("format_version").as_number()) ==
-                     kFingerprintVersion,
-                 "outcome format version mismatch");
-    HMPT_REQUIRE(doc.at("fingerprint").as_string() == fingerprint,
-                 "outcome fingerprint mismatch");
-    auto outcome = tuner::outcome_from_json(doc.at("outcome"));
-    if (out != nullptr) *out = std::move(outcome);
+    auto record = decode_payload(text, fingerprint);
+    if (out != nullptr) *out = std::move(record.outcome);
     return true;
-  } catch (const std::exception&) {
+  } catch (const Error&) {
     return false;
   }
 }
@@ -85,18 +96,10 @@ void write_durable(const std::string& path, const std::string& data) {
   if (fd < 0)
     raise("cannot write outcome file " + path + ": " +
           std::strerror(errno));
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n =
-        ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      raise("short write to outcome file " + path + ": " +
-            std::strerror(err));
-    }
-    written += static_cast<std::size_t>(n);
+  if (!write_all(fd, data)) {
+    const int err = errno;
+    ::close(fd);
+    raise("short write to outcome file " + path + ": " + std::strerror(err));
   }
   if (::fsync(fd) != 0) {
     const int err = errno;
@@ -105,37 +108,6 @@ void write_durable(const std::string& path, const std::string& data) {
   }
   if (::close(fd) != 0)
     raise("cannot close outcome file " + path + ": " + std::strerror(errno));
-}
-
-/// The whole file, read into a buffer sized from fstat; nullopt when it
-/// cannot be opened. A read error ends the data early, which the caller's
-/// validating parse then rejects as damage.
-std::optional<std::string> read_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return std::nullopt;
-  struct stat st {};
-  std::string data(
-      ::fstat(fd, &st) == 0 ? static_cast<std::size_t>(st.st_size) + 1 : 4096,
-      '\0');
-  std::size_t got = 0;
-  while (true) {
-    if (got == data.size()) data.resize(2 * data.size());  // it grew
-    const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  data.resize(got);
-  return data;
-}
-
-/// A unique scratch name beside `path`: pid + process-wide counter, so
-/// concurrent writers never clobber each other's temp file.
-std::string scratch_name(const std::string& path) {
-  static std::atomic<std::uint64_t> counter{0};
-  return path + ".tmp." + std::to_string(::getpid()) + "." +
-         std::to_string(counter.fetch_add(1));
 }
 
 std::string dir_outcome_path(const std::string& directory,
@@ -604,18 +576,11 @@ class PackedBackend : public OutcomeStoreBackend {
     if (fd < 0)
       raise("cannot append to outcome index " + path + ": " +
             std::strerror(errno));
-    std::size_t written = 0;
-    while (written < data.size()) {
-      const ssize_t n =
-          ::write(fd, data.data() + written, data.size() - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        const int err = errno;
-        ::close(fd);
-        raise("short write to outcome index " + path + ": " +
-              std::strerror(err));
-      }
-      written += static_cast<std::size_t>(n);
+    if (!write_all(fd, data)) {
+      const int err = errno;
+      ::close(fd);
+      raise("short write to outcome index " + path + ": " +
+            std::strerror(err));
     }
     ::close(fd);
   }

@@ -81,6 +81,21 @@ StoreFormat store_format_from(const std::string& text);
 /// does (no store yet).
 std::optional<StoreFormat> detect_store_format(const std::string& directory);
 
+/// One decoded stored record: the scenario that produced it and its
+/// outcome.
+struct StoredRecord {
+  Scenario scenario;
+  tuner::TuningOutcome outcome;
+};
+
+/// Decode a stored payload (the bytes OutcomeStore::make_payload writes)
+/// kept under `fingerprint` — the one reader of the record format, shared
+/// by the store, hmpt_merge and reports. Throws hmpt::Error on any damage:
+/// invalid JSON (truncation lands here), a format-version or fingerprint
+/// mismatch, a malformed scenario or outcome.
+StoredRecord decode_payload(const std::string& bytes,
+                            const std::string& fingerprint);
+
 class OutcomeStore {
  public:
   /// Open the store under `directory` in `format`. Purely nominal:

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -13,6 +12,7 @@
 
 #include "campaign/platforms.h"
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/parse.h"
 #include "core/strategy.h"
 
@@ -62,13 +62,11 @@ std::string profile_digest(const WorkloadParams& params) {
       return hit->second.digest;
   }
 
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return "unreadable";
-  std::stringstream buffer;
-  buffer << is.rdbuf();
+  const auto bytes = read_file(path);
+  if (!bytes) return "unreadable";
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a(buffer.str())));
+                static_cast<unsigned long long>(fnv1a(*bytes)));
   std::lock_guard<std::mutex> lock(mutex);
   cache[path] = {mtime, size, buf};
   return buf;
@@ -218,31 +216,14 @@ void save_scenario_plan(const std::string& path,
   JsonArray list;
   for (const auto& s : scenarios) list.push_back(s.to_json());
   o["scenarios"] = Json(std::move(list));
-  const std::string bytes = Json(std::move(o)).dump();
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary);
-    if (!os.good()) raise("cannot write " + tmp);
-    os << bytes;
-    os.flush();
-    if (!os.good()) raise("short write to " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    raise("cannot finalise " + path + ": " + ec.message());
-  }
+  publish_file(path, Json(std::move(o)).dump());
 }
 
 std::vector<Scenario> load_scenario_plan(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) raise("cannot read scenario plan " + path);
-  std::stringstream buffer;
-  buffer << is.rdbuf();
+  const auto text = read_file(path);
+  if (!text) raise("cannot read scenario plan " + path);
   try {
-    const Json doc = Json::parse(buffer.str());
+    const Json doc = Json::parse(*text);
     HMPT_REQUIRE(static_cast<int>(doc.at("format_version").as_number()) ==
                      kFingerprintVersion,
                  "plan format version mismatch");
@@ -363,6 +344,17 @@ double as_double(const std::string& text) {
   return *v;
 }
 
+}  // namespace
+
+std::pair<int, double> parse_tier_budget_gb(const std::string& text) {
+  const auto colon = text.find(':');
+  if (colon == std::string::npos)
+    raise("expects tier:gb (e.g. 2:64), got '" + text + "'");
+  return {as_int(text.substr(0, colon)), as_double(text.substr(colon + 1))};
+}
+
+namespace {
+
 using ApplyFn = void (*)(ScenarioMatrix&, const std::string&);
 
 /// The campaign-file directives, which are also every front end's matrix
@@ -390,11 +382,7 @@ constexpr std::pair<std::string_view, ApplyFn> kDirectives[] = {
      }},
     {"tier-budget-gb",
      [](ScenarioMatrix& m, const std::string& v) {
-       const auto colon = v.find(':');
-       if (colon == std::string::npos)
-         raise("expects tier:gb (e.g. 2:64), got '" + v + "'");
-       m.tier_budgets_gb.emplace_back(as_int(v.substr(0, colon)),
-                                      as_double(v.substr(colon + 1)));
+       m.tier_budgets_gb.push_back(parse_tier_budget_gb(v));
      }},
     {"reps",
      [](ScenarioMatrix& m, const std::string& v) {
@@ -468,9 +456,9 @@ ScenarioMatrix ScenarioMatrix::parse(const std::string& text) {
 }
 
 ScenarioMatrix ScenarioMatrix::load(const std::string& path) {
-  std::ifstream is(path);
-  if (!is.good()) raise("cannot read campaign file: " + path);
-  return parse(is);
+  const auto text = read_file(path);
+  if (!text) raise("cannot read campaign file: " + path);
+  return parse(*text);
 }
 
 ScenarioMatrix ScenarioMatrix::declare(

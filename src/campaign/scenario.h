@@ -90,6 +90,11 @@ struct ShardSpec {
 /// Parse "i/N" (1 <= i <= N); throws hmpt::Error on anything else.
 ShardSpec parse_shard_spec(const std::string& text);
 
+/// Parse a "tier:gb" capacity cap (the `tier-budget-gb` directive, e.g.
+/// "2:64") into (tier, gb). Checks the spelling only, not the range;
+/// throws hmpt::Error on a missing colon or a malformed number.
+std::pair<int, double> parse_tier_budget_gb(const std::string& text);
+
 /// Serialise the expanded scenario list (matrix order) to a plan file —
 /// how the fleet dispatcher hands its workers the full campaign, so every
 /// process derives the same campaign fingerprint and artefact order

@@ -124,12 +124,8 @@ void ThreadPool::parallel_chunks(
 
 void parallel_for(int jobs, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  const int resolved = jobs == 0 ? ThreadPool::hardware_jobs() : jobs;
-  if (resolved <= 1 || n < 2) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(resolved);
+  // A one-lane pool spawns no thread and runs the loop inline.
+  ThreadPool pool(n < 2 ? 1 : jobs);
   pool.parallel_for(n, fn);
 }
 

@@ -83,7 +83,6 @@ AnalysisReport Driver::analyze(const workloads::Workload& workload) const {
                         .strategy("exhaustive")
                         .tiers(tiers)
                         .repetitions(options_.experiment.repetitions)
-                        .gray_order(options_.experiment.gray_order)
                         .jobs(options_.experiment.jobs)
                         .budget_bytes(
                             std::max(options_.hbm_budget_bytes, 0.0));

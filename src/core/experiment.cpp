@@ -15,8 +15,8 @@ namespace {
 
 /// Fold one timer's lifetime tallies into the process-wide cache metrics
 /// and (when tracing) mark them in the owning lane. Called when a timer
-/// retires — end of a serial enumeration or of a worker's chunk — so the
-/// counters see each hit exactly once.
+/// retires at the end of its chunk, so the counters see each hit exactly
+/// once.
 void note_timer_stats(const sim::CachedTraceTimer* timer) {
   if (timer == nullptr) return;
   const std::uint64_t hits = timer->hits();
@@ -61,12 +61,8 @@ ExperimentRunner::ExperimentRunner(sim::MachineSimulator& sim,
   HMPT_REQUIRE(options_.jobs >= 0, "jobs must be >= 0 (0 = hardware)");
 }
 
-int ExperimentRunner::resolved_jobs() const {
-  return options_.jobs == 0 ? ThreadPool::hardware_jobs() : options_.jobs;
-}
-
 ThreadPool& ExperimentRunner::pool() {
-  if (!pool_) pool_ = std::make_shared<ThreadPool>(resolved_jobs());
+  if (!pool_) pool_ = std::make_shared<ThreadPool>(options_.jobs);
   return *pool_;
 }
 
@@ -137,18 +133,6 @@ std::vector<ConfigResult> ExperimentRunner::measure_batch(
   obs::TraceSpan span("experiment", "measure_batch");
   span.arg_number("masks", static_cast<std::uint64_t>(masks.size()));
 
-  const int jobs = resolved_jobs();
-  if (jobs <= 1 || masks.size() < 2) {
-    std::optional<sim::CachedTraceTimer> timer;
-    if (options_.memoize) timer.emplace(sim_->solver(), trace, ctx_);
-    for (std::size_t i = 0; i < masks.size(); ++i)
-      results[i] = measure_config(trace, stats, space, masks[i],
-                                  baseline_time,
-                                  timer ? &*timer : nullptr);
-    note_timer_stats(timer ? &*timer : nullptr);
-    return results;
-  }
-
   pool().parallel_chunks(masks.size(), [&](std::size_t begin,
                                            std::size_t end) {
     std::optional<sim::CachedTraceTimer> timer;
@@ -180,44 +164,28 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
   sweep.num_tiers = space.num_tiers();
   sweep.configs.resize(space.size());
 
-  const auto masks =
-      options_.gray_order ? space.gray_masks() : space.all_masks();
-  const int jobs = resolved_jobs();
+  const auto masks = space.gray_masks();
 
   obs::TraceSpan span("experiment", "sweep");
   span.arg_number("configs", static_cast<std::uint64_t>(masks.size()));
-  span.arg_number("jobs", static_cast<std::uint64_t>(jobs));
+  span.arg_number("jobs", static_cast<std::uint64_t>(pool().size()));
 
-  if (jobs <= 1) {
-    // Serial: one timer lives across the whole enumeration, so Gray order
-    // re-times only the phases touching the flipped group.
+  // The baseline is measured first (speedups need its mean), then the
+  // remaining enumeration is split into contiguous chunks — one per pool
+  // lane, so a serial sweep is one chunk run inline. Each chunk keeps its
+  // own timer, so Gray-order adjacency pays off within it; the first
+  // chunk starts at the baseline's Gray neighbour and so continues the
+  // baseline's timer. Per-mask result slots make the region
+  // write-disjoint.
+  const auto make_timer = [&] {
     std::optional<sim::CachedTraceTimer> timer;
     if (options_.memoize) timer.emplace(sim_->solver(), trace, ctx_);
-    sim::CachedTraceTimer* t = timer ? &*timer : nullptr;
-
-    // Baseline first: every speedup is relative to the all-DDR mean.
-    ConfigResult baseline = measure_config(trace, stats, space, 0, 0.0, t);
-    baseline.speedup = 1.0;
-    sweep.baseline_time = baseline.mean_time;
-    sweep.configs[0] = baseline;
-    if (on_config) on_config(sweep.configs[0]);
-
-    for (const ConfigMask mask : masks) {
-      if (mask == 0) continue;
-      sweep.configs[mask] = measure_config(trace, stats, space, mask,
-                                           sweep.baseline_time, t);
-      if (on_config) on_config(sweep.configs[mask]);
-    }
-    note_timer_stats(t);
-    return sweep;
-  }
-
-  // Parallel: the baseline is measured up front (speedups need its mean),
-  // then the remaining enumeration is split into contiguous chunks — each
-  // worker keeps its own timer, so Gray-order adjacency still pays off
-  // within a chunk. Per-mask result slots make the region write-disjoint.
-  ConfigResult baseline = measure_config(trace, stats, space, 0, 0.0,
-                                         nullptr);
+    return timer;
+  };
+  auto baseline_timer = make_timer();
+  ConfigResult baseline =
+      measure_config(trace, stats, space, 0, 0.0,
+                     baseline_timer ? &*baseline_timer : nullptr);
   baseline.speedup = 1.0;
   sweep.baseline_time = baseline.mean_time;
   sweep.configs[0] = baseline;
@@ -229,8 +197,8 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
 
   pool().parallel_chunks(rest.size(), [&](std::size_t begin,
                                           std::size_t end) {
-    std::optional<sim::CachedTraceTimer> timer;
-    if (options_.memoize) timer.emplace(sim_->solver(), trace, ctx_);
+    auto own_timer = begin == 0 ? std::nullopt : make_timer();
+    auto& timer = begin == 0 ? baseline_timer : own_timer;
     for (std::size_t i = begin; i < end; ++i)
       sweep.configs[rest[i]] =
           measure_config(trace, stats, space, rest[i], sweep.baseline_time,
@@ -239,7 +207,7 @@ SweepResult ExperimentRunner::sweep(const workloads::Workload& workload,
   });
 
   // Callbacks fire after the barrier, from this thread, in enumeration
-  // order — the exact sequence the serial sweep produces.
+  // order, whatever the job count.
   if (on_config) {
     on_config(sweep.configs[0]);
     for (const ConfigMask mask : masks)

@@ -47,9 +47,6 @@ struct ConfigResult {
 
 struct ExperimentOptions {
   int repetitions = 3;  ///< n runs averaged per configuration
-  /// When true, enumerate in Gray order (adjacent configs differ by one
-  /// group); results are returned sorted by mask either way.
-  bool gray_order = true;
   /// Worker threads measuring configurations; 1 = serial in the calling
   /// thread, 0 = all hardware threads. Results are bit-identical at any
   /// job count.
@@ -83,11 +80,13 @@ class ExperimentRunner {
   ExperimentRunner(sim::MachineSimulator& sim, sim::ExecutionContext ctx,
                    ExperimentOptions options = {});
 
-  /// Measure every configuration of `space` for `workload`. `on_config`
-  /// (when given) fires once per configuration, always from the calling
-  /// thread and always in enumeration order (baseline first, then Gray or
-  /// natural order) whatever the job count — the hook the strategy layer
-  /// uses for progress reporting.
+  /// Measure every configuration of `space` for `workload`, in Gray order
+  /// (adjacent configurations differ by one group; results are returned
+  /// sorted by mask). `on_config` (when given) fires once per
+  /// configuration after the whole measurement loop, from the calling
+  /// thread, in enumeration order (baseline first, then Gray order)
+  /// whatever the job count — the hook the strategy layer uses for
+  /// progress reporting.
   SweepResult sweep(const workloads::Workload& workload,
                     const ConfigSpace& space);
   SweepResult sweep(const workloads::Workload& workload,
@@ -108,9 +107,6 @@ class ExperimentRunner {
                                           const std::vector<ConfigMask>& masks,
                                           double baseline_time);
 
-  /// The worker-thread count a sweep will actually use.
-  int resolved_jobs() const;
-
  private:
   /// Per-group trace traffic, precomputed once per campaign so HBM access
   /// density is O(groups) per configuration instead of O(streams).
@@ -126,8 +122,9 @@ class ExperimentRunner {
                               double baseline_time,
                               sim::CachedTraceTimer* timer) const;
 
-  /// The worker pool, created on the first parallel campaign and reused
-  /// across sweeps and batches (its threads persist).
+  /// The worker pool, created on the first campaign and reused across
+  /// sweeps and batches (its threads persist; a one-lane pool has none
+  /// and runs its single chunk inline).
   ThreadPool& pool();
 
   sim::MachineSimulator* sim_;

@@ -48,7 +48,6 @@ class Session {
   /// num_memory_tiers); 0 (the default) = the machine's full tier count.
   Session& tiers(int count);
   Session& repetitions(int reps);
-  Session& gray_order(bool enabled);
   /// Measurement worker threads (1 = serial, 0 = all hardware threads);
   /// the outcome is bit-identical at any job count.
   Session& jobs(int n);

@@ -159,7 +159,6 @@ TuningOutcome ExhaustiveStrategy::tune(
     const TuningBudget& budget, const TuningCallbacks& callbacks) const {
   ExperimentOptions options;
   options.repetitions = budget.repetitions;
-  options.gray_order = budget.gray_order;
   options.jobs = budget.jobs;
   ExperimentRunner runner(sim, ctx, options);
 

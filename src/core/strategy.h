@@ -43,8 +43,6 @@ struct TuningBudget {
   /// entry takes precedence over the legacy `hbm_budget_bytes`.
   std::vector<double> tier_budget_bytes;
   int repetitions = 3;  ///< simulator runs averaged per configuration
-  /// Enumerate exhaustive sweeps in Gray order (single-group deltas).
-  bool gray_order = true;
   /// "estimator": number of top predicted configurations to measure.
   int top_k = 3;
   /// Cap on measured runs for iterative strategies; 0 = strategy default.

@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -98,8 +99,6 @@ std::vector<std::string> worker_args(const FleetOptions& options,
       "--quiet",
       "--jobs",
       std::to_string(options.worker_jobs),
-      "--measure-jobs",
-      std::to_string(options.measure_jobs),
   };
   if (options.keep_going) args.push_back("--keep-going");
   if (options.attempts > 1) {
@@ -185,16 +184,9 @@ void save_assignment(const std::string& path,
   const fs::path target(path);
   std::error_code ec;
   if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  const fs::path tmp = fs::path(path + ".tmp." + std::to_string(::getpid()));
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    HMPT_REQUIRE(os.good(), "cannot write assignment file: " + path);
-    for (const auto& fp : fingerprints) os << fp << "\n";
-    os.flush();
-    HMPT_REQUIRE(os.good(), "cannot write assignment file: " + path);
-  }
-  fs::rename(tmp, target, ec);
-  if (ec) raise("cannot publish assignment file " + path + ": " + ec.message());
+  std::string bytes;
+  for (const auto& fp : fingerprints) bytes += fp + "\n";
+  publish_file(path, bytes);
 }
 
 std::vector<std::string> load_assignment(const std::string& path) {

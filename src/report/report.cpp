@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -10,9 +9,9 @@
 #include "campaign/outcome_store.h"
 #include "common/chart.h"
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/table.h"
 #include "common/units.h"
-#include "core/outcome_io.h"
 #include "core/report.h"
 
 namespace hmpt::report {
@@ -192,11 +191,9 @@ openTarget();
 }  // namespace
 
 TraceTimeline load_trace_timeline(const std::string& trace_path) {
-  std::ifstream is(trace_path, std::ios::binary);
-  if (!is.good()) raise("cannot read trace file " + trace_path);
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const Json doc = Json::parse(buffer.str());
+  const auto text = read_file(trace_path);
+  if (!text) raise("cannot read trace file " + trace_path);
+  const Json doc = Json::parse(*text);
 
   // Thread-name metadata first, so spans can carry human lane names.
   std::map<double, std::string> lane_names;  // tid -> name
@@ -258,10 +255,10 @@ CampaignResult load_store_result(const std::string& store_dir) {
   for (const auto& [fingerprint, bytes] : store.load_all_payloads()) {
     ScenarioRun run;
     try {
-      const Json doc = Json::parse(bytes);
-      run.scenario = Scenario::from_json(doc.at("scenario"));
-      run.outcome = tuner::outcome_from_json(doc.at("outcome"));
-    } catch (const std::exception& e) {
+      auto record = campaign::decode_payload(bytes, fingerprint);
+      run.scenario = std::move(record.scenario);
+      run.outcome = std::move(record.outcome);
+    } catch (const Error& e) {
       raise("corrupt outcome record " + fingerprint + " in " + store_dir +
             ": " + e.what());
     }
@@ -404,12 +401,7 @@ std::string write_report(const CampaignResult& result,
   if (ec)
     raise("cannot create report dir " + dir.string() + ": " + ec.message());
   const std::string path = (dir / "index.html").string();
-  const std::string html = render_report_html(result, title, timeline);
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) raise("cannot write " + path);
-  os << html;
-  os.flush();
-  if (!os.good()) raise("short write to " + path);
+  publish_file(path, render_report_html(result, title, timeline));
   return path;
 }
 

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/thread_name.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -54,8 +53,7 @@ bool Daemon::Connection::send(const std::string& line) {
 Daemon::Daemon(DaemonOptions options, ExecutionProvider* provider)
     : options_(std::move(options)) {
   if (provider == nullptr) {
-    owned_provider_ =
-        std::make_unique<SimulatorProvider>(options_.measure_jobs);
+    owned_provider_ = std::make_unique<SimulatorProvider>();
     provider = owned_provider_.get();
   }
   provider_ = provider;
@@ -521,15 +519,7 @@ JsonObject Daemon::stats_fields() const {
 
 void Daemon::write_metrics_snapshot() const {
   try {
-    const std::string tmp = options_.metrics_path + ".tmp";
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      if (!os.good()) return;
-      os << Json(stats_fields()).dump() << "\n";
-      os.flush();
-      if (!os.good()) return;
-    }
-    std::rename(tmp.c_str(), options_.metrics_path.c_str());
+    publish_file(options_.metrics_path, Json(stats_fields()).dump() + "\n");
   } catch (const std::exception&) {
     // Best-effort by contract: a full disk or a bad path costs the
     // snapshot, never a job or the daemon.

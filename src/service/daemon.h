@@ -41,7 +41,6 @@ struct DaemonOptions {
   int workers = 1;                    ///< scheduler worker pool size
   int max_in_flight = 256;            ///< per-client admission cap
   std::size_t max_queue = 4096;       ///< global queue capacity
-  int measure_jobs = 1;               ///< simulator threads per scenario
   /// Latency-store class-map bound (LRU past it; see latency_store.h).
   std::size_t latency_classes = LatencyStore::kDefaultMaxClasses;
   /// Default failure model for every job (per-job submit overrides
@@ -62,8 +61,8 @@ struct DaemonOptions {
 
 class Daemon {
  public:
-  /// `provider` null = own a SimulatorProvider(measure_jobs), the only
-  /// in-tree backend; tests inject counting/slow providers here.
+  /// `provider` null = own a SimulatorProvider, the only in-tree
+  /// backend; tests inject counting/slow providers here.
   explicit Daemon(DaemonOptions options,
                   ExecutionProvider* provider = nullptr);
   ~Daemon();

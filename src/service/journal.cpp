@@ -12,28 +12,10 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/file_io.h"
 #include "common/json.h"
 
 namespace hmpt::service {
-
-namespace {
-
-/// EINTR-safe full write of `text` to `fd`.
-bool write_all(int fd, const std::string& text) {
-  std::size_t written = 0;
-  while (written < text.size()) {
-    const ssize_t n =
-        ::write(fd, text.data() + written, text.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 JobJournal::JobJournal(std::string path) : path_(std::move(path)) {
   HMPT_REQUIRE(!path_.empty(), "journal path must not be empty");

@@ -1,22 +1,15 @@
 #include "service/provider.h"
 
 #include "campaign/campaign.h"
-#include "common/error.h"
 
 namespace hmpt::service {
-
-SimulatorProvider::SimulatorProvider(int measure_jobs)
-    : measure_jobs_(measure_jobs) {
-  HMPT_REQUIRE(measure_jobs >= 0,
-               "measure_jobs must be >= 0 (0 = all hardware threads)");
-}
 
 tuner::TuningOutcome SimulatorProvider::run(
     const campaign::Scenario& scenario, const CancelToken& token) {
   // The simulator runs in one uninterrupted burst; honour a cancel or an
   // already-expired deadline before starting the burn.
   token.check();
-  return campaign::CampaignRunner::execute(scenario, measure_jobs_);
+  return campaign::CampaignRunner::execute(scenario);
 }
 
 }  // namespace hmpt::service

@@ -191,6 +191,12 @@ TEST_F(CampaignCliTest, ListingsAndUsage) {
   EXPECT_EQ(
       WEXITSTATUS(run("--workload mg --tier-budget-gb 64 --out " + store_)),
       1);
+  // Scenarios tune serially; --jobs is the campaign's one parallelism
+  // knob, so the retired per-scenario measurement pool flag is unknown.
+  EXPECT_EQ(
+      WEXITSTATUS(run("--workload mg --measure-jobs 2 --out " + store_)), 1);
+  EXPECT_NE(slurp(out_).find("unknown option"), std::string::npos)
+      << slurp(out_);
 }
 
 TEST_F(CampaignCliTest, ShardedRunsMergeToTheUnshardedArtifacts) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -249,14 +250,20 @@ TEST(ParallelSweepTest, CallbackOrderMatchesSerialEnumeration) {
     return bytes;
   }());
 
+  const auto caller = std::this_thread::get_id();
   const auto masks_seen = [&](int jobs) {
     tuner::ExperimentOptions options;
     options.repetitions = 1;
     options.jobs = jobs;
     tuner::ExperimentRunner runner(simulator, app.context, options);
     std::vector<tuner::ConfigMask> seen;
-    runner.sweep(*app.workload, space,
-                 [&](const tuner::ConfigResult& r) { seen.push_back(r.mask); });
+    std::size_t off_thread = 0;
+    runner.sweep(*app.workload, space, [&](const tuner::ConfigResult& r) {
+      if (std::this_thread::get_id() != caller) ++off_thread;
+      seen.push_back(r.mask);
+    });
+    EXPECT_EQ(off_thread, 0u) << "callbacks off the calling thread, jobs="
+                              << jobs;
     return seen;
   };
   const auto serial = masks_seen(1);
@@ -276,24 +283,27 @@ TEST(ParallelSweepTest, MeasureBatchMatchesSingleMeasurements) {
     return bytes;
   }());
 
-  tuner::ExperimentOptions options;
-  options.repetitions = 2;
-  options.jobs = 4;
-  tuner::ExperimentRunner runner(simulator, app.context, options);
-
   const std::vector<tuner::ConfigMask> masks = {5, 0, 129, 7, 255, 64, 33};
   const double baseline = 40.0;
-  const auto batch = runner.measure_batch(*app.workload, space, masks,
-                                          baseline);
-  ASSERT_EQ(batch.size(), masks.size());
-  for (std::size_t i = 0; i < masks.size(); ++i) {
-    const auto single =
-        runner.measure(*app.workload, space, masks[i], baseline);
-    EXPECT_EQ(batch[i].mask, masks[i]);
-    EXPECT_EQ(batch[i].mean_time, single.mean_time);
-    EXPECT_EQ(batch[i].stddev_time, single.stddev_time);
-    EXPECT_EQ(batch[i].speedup, single.speedup);
-    EXPECT_EQ(batch[i].hbm_density, single.hbm_density);
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    tuner::ExperimentOptions options;
+    options.repetitions = 2;
+    options.jobs = jobs;
+    tuner::ExperimentRunner runner(simulator, app.context, options);
+
+    const auto batch = runner.measure_batch(*app.workload, space, masks,
+                                            baseline);
+    ASSERT_EQ(batch.size(), masks.size());
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      const auto single =
+          runner.measure(*app.workload, space, masks[i], baseline);
+      EXPECT_EQ(batch[i].mask, masks[i]);
+      EXPECT_EQ(batch[i].mean_time, single.mean_time);
+      EXPECT_EQ(batch[i].stddev_time, single.stddev_time);
+      EXPECT_EQ(batch[i].speedup, single.speedup);
+      EXPECT_EQ(batch[i].hbm_density, single.hbm_density);
+    }
   }
 }
 

@@ -21,11 +21,7 @@
 // unified TuningOutcome (chosen placement, trajectory, measured table).
 //
 // Exit codes: 0 success, 1 bad usage, 2 analysis failure.
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -33,8 +29,10 @@
 #include <vector>
 
 #include "campaign/platforms.h"
+#include "campaign/scenario.h"
 #include "campaign/workload_registry.h"
 #include "cli_parse.h"
+#include "common/error.h"
 #include "common/units.h"
 #include "core/driver.h"
 #include "obs/trace.h"
@@ -147,14 +145,13 @@ int main(int argc, char** argv) {
     else if (arg == "--budget-gb")
       budget_gb = parse_double(argv[0], arg, next());
     else if (arg == "--tier-budget-gb") {
-      const std::string spec = next();
-      const auto colon = spec.find(':');
-      if (colon == std::string::npos)
-        bad_value(argv[0], "--tier-budget-gb expects T:N (e.g. 2:64)");
-      const int tier =
-          parse_int(argv[0], arg, spec.substr(0, colon).c_str());
-      const double gb =
-          parse_double(argv[0], arg, spec.substr(colon + 1).c_str());
+      std::pair<int, double> budget;
+      try {
+        budget = campaign::parse_tier_budget_gb(next());
+      } catch (const hmpt::Error& e) {
+        bad_value(argv[0], arg + ": " + e.what());
+      }
+      const auto [tier, gb] = budget;
       if (tier < 1 || tier >= hmpt::topo::kNumPoolKinds || gb < 0.0)
         bad_value(argv[0],
                   "--tier-budget-gb needs 1 <= tier < " +
