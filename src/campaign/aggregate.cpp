@@ -17,12 +17,7 @@ bool has_outcome(const ScenarioRun& run) {
          run.status == ScenarioRun::Status::Cached;
 }
 
-/// The content address captured when the scenario ran; recomputed only
-/// for hand-built results that never went through a runner or merge.
-std::string fingerprint_of(const ScenarioRun& run) {
-  return run.fingerprint.empty() ? run.scenario.fingerprint()
-                                 : run.fingerprint;
-}
+}  // namespace
 
 std::string budget_text(const Scenario& s) {
   std::string out = cell(s.budget_gb, 1);
@@ -32,8 +27,6 @@ std::string budget_text(const Scenario& s) {
   }
   return out;
 }
-
-}  // namespace
 
 Table plan_table(const std::vector<Scenario>& scenarios) {
   Table table({"#", "workload", "platform", "strategy", "tiers", "budget_gb",

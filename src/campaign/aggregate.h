@@ -23,6 +23,10 @@
 
 namespace hmpt::campaign {
 
+/// A scenario's budget_gb cell: its HBM budget, then ";tier:gb" for each
+/// per-tier budget (runs.csv, the plan listing and the HTML report).
+std::string budget_text(const Scenario& s);
+
 /// The planned-scenario listing shared by --dry-run and the pre-run plan
 /// printout (one row per scenario, matrix order).
 Table plan_table(const std::vector<Scenario>& scenarios);

@@ -154,6 +154,11 @@ const char* to_string(ScenarioRun::Status status) {
   return "?";
 }
 
+std::string fingerprint_of(const ScenarioRun& run) {
+  return run.fingerprint.empty() ? run.scenario.fingerprint()
+                                 : run.fingerprint;
+}
+
 CampaignRunner::CampaignRunner(CampaignOptions options)
     : options_(std::move(options)),
       store_(options_.output_dir, options_.store_format) {

@@ -85,6 +85,11 @@ struct ScenarioRun {
 /// The status's artefact spelling ("planned"/"executed"/"cached"/"failed").
 const char* to_string(ScenarioRun::Status status);
 
+/// The run's content address: the fingerprint captured when it ran,
+/// recomputed only for hand-built results that never went through a
+/// runner or merge.
+std::string fingerprint_of(const ScenarioRun& run);
+
 /// Everything a campaign run (or a shard merge) produced, in scenario
 /// order whatever the concurrency — aggregation over it is deterministic.
 struct CampaignResult {

@@ -102,34 +102,50 @@ ShardManifest ShardManifest::load(const std::string& store_dir) {
   }
 }
 
-ShardManifest make_manifest(const std::vector<Scenario>& campaign_scenarios,
-                            const ShardSpec& shard,
-                            const CampaignResult& result) {
+namespace {
+
+/// The manifest of `shard` of a campaign (its full matrix, matrix
+/// order), before any entry.
+ShardManifest empty_manifest(const std::vector<Scenario>& campaign_scenarios,
+                             const ShardSpec& shard) {
   ShardManifest manifest;
   manifest.campaign = campaign_fingerprint(campaign_scenarios);
   manifest.shard = shard;
   for (const auto& s : campaign_scenarios)
     manifest.campaign_order.push_back(s.fingerprint());
-  for (const auto& run : result.runs) {
-    ShardManifest::Entry entry;
-    entry.fingerprint = run.fingerprint.empty() ? run.scenario.fingerprint()
-                                                : run.fingerprint;
-    entry.scenario = run.scenario;
-    switch (run.status) {
-      case ScenarioRun::Status::Executed:
-      case ScenarioRun::Status::Cached:
-        entry.status = ShardEntryStatus::Complete;
-        break;
-      case ScenarioRun::Status::Failed:
-        entry.status = ShardEntryStatus::Failed;
-        entry.error = run.error;
-        break;
-      case ScenarioRun::Status::Planned:
-        raise("cannot write a shard manifest for a dry run — plans leave "
-              "no outcomes to merge");
-    }
-    manifest.entries.push_back(std::move(entry));
+  return manifest;
+}
+
+/// The manifest entry of a finished run; throws for a dry-run (Planned)
+/// one — plans leave no durable state to merge.
+ShardManifest::Entry manifest_entry(const ScenarioRun& run) {
+  ShardManifest::Entry entry;
+  entry.fingerprint = fingerprint_of(run);
+  entry.scenario = run.scenario;
+  switch (run.status) {
+    case ScenarioRun::Status::Executed:
+    case ScenarioRun::Status::Cached:
+      entry.status = ShardEntryStatus::Complete;
+      break;
+    case ScenarioRun::Status::Failed:
+      entry.status = ShardEntryStatus::Failed;
+      entry.error = run.error;
+      break;
+    case ScenarioRun::Status::Planned:
+      raise("cannot write a shard manifest for a dry run — plans leave "
+            "no outcomes to merge");
   }
+  return entry;
+}
+
+}  // namespace
+
+ShardManifest make_manifest(const std::vector<Scenario>& campaign_scenarios,
+                            const ShardSpec& shard,
+                            const CampaignResult& result) {
+  ShardManifest manifest = empty_manifest(campaign_scenarios, shard);
+  for (const auto& run : result.runs)
+    manifest.entries.push_back(manifest_entry(run));
   return manifest;
 }
 
@@ -138,12 +154,8 @@ ShardManifest make_manifest(const std::vector<Scenario>& campaign_scenarios,
 ManifestProgress::ManifestProgress(
     const std::vector<Scenario>& campaign_scenarios, const ShardSpec& shard,
     std::string store_dir)
-    : store_dir_(std::move(store_dir)) {
-  manifest_.campaign = campaign_fingerprint(campaign_scenarios);
-  manifest_.shard = shard;
-  for (const auto& s : campaign_scenarios)
-    manifest_.campaign_order.push_back(s.fingerprint());
-
+    : manifest_(empty_manifest(campaign_scenarios, shard)),
+      store_dir_(std::move(store_dir)) {
   // Union with an existing manifest for the same campaign and shard: a
   // relaunched worker (or a thief's later generation) appends to what
   // the store already proved finished. Anything else — a stale manifest
@@ -167,23 +179,7 @@ ManifestProgress::ManifestProgress(
 }
 
 void ManifestProgress::record(const ScenarioRun& run) {
-  ShardManifest::Entry entry;
-  entry.fingerprint = run.fingerprint.empty() ? run.scenario.fingerprint()
-                                              : run.fingerprint;
-  entry.scenario = run.scenario;
-  switch (run.status) {
-    case ScenarioRun::Status::Executed:
-    case ScenarioRun::Status::Cached:
-      entry.status = ShardEntryStatus::Complete;
-      break;
-    case ScenarioRun::Status::Failed:
-      entry.status = ShardEntryStatus::Failed;
-      entry.error = run.error;
-      break;
-    case ScenarioRun::Status::Planned:
-      raise("cannot record a dry-run scenario in a shard manifest");
-  }
-
+  ShardManifest::Entry entry = manifest_entry(run);
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(entry.fingerprint);
   if (it == index_.end()) {

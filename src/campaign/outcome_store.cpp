@@ -10,9 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <utility>
 
 #include "common/error.h"
@@ -303,11 +303,14 @@ class DirBackend : public OutcomeStoreBackend {
 //
 // Records before the clean end are never rewritten (the log is
 // append-only, and truncation only cuts a torn tail past the last clean
-// boundary), so a writer that scanned the log once only scans what other
-// writers appended since: O(1) work per append. It rescans from offset 0
-// only when its cache came from the index, the log shrank below the
-// clean end it knows, or the log file was replaced (a different inode
-// at the path).
+// boundary), so readers and writers alike keep their map current with
+// one catch-up routine that scans only the bytes past the clean end they
+// know: O(1) work per call however long the log is. The map starts over
+// only when the path names a different file (the store was deleted and
+// recreated, or another log renamed over it) or the log was cut below
+// that clean end, which shows as the frame ending there no longer
+// reading in place; a writer also rescans from offset 0 before trusting
+// entries primed from the index.
 //
 // outcomes.idx is a disposable cache: one "<fingerprint> <offset>
 // <payload-bytes>" line per durable record, appended one batch per
@@ -335,24 +338,37 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   return value;
 }
 
+/// Read up to `size` bytes at `offset`, retrying short and
+/// EINTR-interrupted reads; the count read (short at EOF or on error).
+std::size_t pread_full(int fd, char* buffer, std::size_t size,
+                       std::uint64_t offset) {
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::pread(fd, buffer + got, size - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  return got;
+}
+
 struct RecordHeader {
   std::string fingerprint;
   std::uint64_t payload_size = 0;
   std::uint64_t header_size = 0;  ///< bytes up to and including the '\n'
+  std::uint64_t end = 0;          ///< log offset just past the frame
 };
 
-/// Decode the record header at `offset`; nullopt on any framing damage.
-std::optional<RecordHeader> read_record_header(std::ifstream& log,
-                                               std::uint64_t offset,
+/// Decode the record header at `offset` of the first `log_size` bytes of
+/// the log open at `fd`; nullopt on any framing damage.
+std::optional<RecordHeader> read_record_header(int fd, std::uint64_t offset,
                                                std::uint64_t log_size) {
   if (offset >= log_size) return std::nullopt;
-  log.clear();
-  log.seekg(static_cast<std::streamoff>(offset));
   char buffer[kMaxHeaderBytes];
-  const std::uint64_t want =
-      std::min<std::uint64_t>(kMaxHeaderBytes, log_size - offset);
-  log.read(buffer, static_cast<std::streamsize>(want));
-  const std::uint64_t got = static_cast<std::uint64_t>(log.gcount());
+  const std::size_t got = pread_full(
+      fd, buffer, std::min<std::uint64_t>(kMaxHeaderBytes, log_size - offset),
+      offset);
   const char* newline =
       static_cast<const char*>(std::memchr(buffer, '\n', got));
   if (newline == nullptr) return std::nullopt;
@@ -372,13 +388,20 @@ std::optional<RecordHeader> read_record_header(std::ifstream& log,
   if (!size) return std::nullopt;
   header.payload_size = *size;
   header.header_size = static_cast<std::uint64_t>(newline - buffer) + 1;
+  header.end = offset + header.header_size + header.payload_size + 1;
   return header;
 }
 
-int byte_at(std::ifstream& log, std::uint64_t offset) {
-  log.clear();
-  log.seekg(static_cast<std::streamoff>(offset));
-  return log.get();
+/// The header of the whole frame at `offset` — payload and trailing
+/// newline inside the first `log_size` bytes; nullopt on any damage.
+std::optional<RecordHeader> read_frame(int fd, std::uint64_t offset,
+                                       std::uint64_t log_size) {
+  auto header = read_record_header(fd, offset, log_size);
+  char last = 0;
+  if (!header || header->end > log_size ||
+      pread_full(fd, &last, 1, header->end - 1) != 1 || last != '\n')
+    return std::nullopt;
+  return header;
 }
 
 class PackedBackend : public OutcomeStoreBackend {
@@ -389,26 +412,22 @@ class PackedBackend : public OutcomeStoreBackend {
 
   bool contains(const std::string& fingerprint) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    refresh_locked();
+    catch_up_locked(false);
     return records_.count(fingerprint) != 0;
   }
 
   std::optional<std::string> payload(
       const std::string& fingerprint) override {
     std::lock_guard<std::mutex> lock(mutex_);
-    refresh_locked();
+    catch_up_locked(false);
     for (int attempt = 0; attempt < 2; ++attempt) {
       const auto it = records_.find(fingerprint);
       if (it == records_.end()) return std::nullopt;
-      std::ifstream log(log_path(), std::ios::binary);
-      if (log.good()) {
-        auto bytes =
-            read_record_payload(log, seen_size_, fingerprint, it->second);
-        if (bytes) return bytes;
-      }
-      // The index (or our cache of it) lied about this record: re-derive
-      // the map from the log itself — the authority — and retry once.
-      rescan_locked();
+      if (auto bytes = read_payload_locked(fingerprint, it->second))
+        return bytes;
+      // The index lied about this record: re-derive the map from the log
+      // itself — the authority — and retry once.
+      catch_up_locked(true);
     }
     return std::nullopt;
   }
@@ -426,11 +445,7 @@ class PackedBackend : public OutcomeStoreBackend {
     const std::string log = log_path();
     const auto it = records_.find(fingerprint);
     if (it != records_.end()) {
-      std::ifstream in(log, std::ios::binary);
-      std::optional<std::string> existing;
-      if (in.good())
-        existing =
-            read_record_payload(in, seen_size_, fingerprint, it->second);
+      const auto existing = read_payload_locked(fingerprint, it->second);
       if (existing && *existing == payload) {
         // Same-race no-op; the record may be another writer's still
         // unsynced append, so the next sync() covers it too.
@@ -448,7 +463,7 @@ class PackedBackend : public OutcomeStoreBackend {
     if (good_end_ < seen_size_) {
       // Torn tail from a crash mid-append: cut the log back to the last
       // clean record boundary before appending.
-      if (::ftruncate(writer.fd, static_cast<off_t>(good_end_)) != 0)
+      if (::ftruncate(writer.fd(), static_cast<off_t>(good_end_)) != 0)
         raise("cannot truncate torn tail of " + log + ": " +
               std::strerror(errno));
       index_stale_ = true;
@@ -459,10 +474,13 @@ class PackedBackend : public OutcomeStoreBackend {
                                fingerprint + " " +
                                std::to_string(payload.size()) + "\n" +
                                payload + "\n";
-    pwrite_all(writer.fd, record, offset, log);
+    // Only appends move the descriptor's offset; reads use pread.
+    if (::lseek(writer.fd(), static_cast<off_t>(offset), SEEK_SET) < 0 ||
+        !write_all(writer.fd(), record))
+      raise("short write to outcome log " + log + ": " +
+            std::strerror(errno));
     const Record appended{offset, payload.size()};
-    records_[fingerprint] = appended;
-    good_end_ = offset + record.size();
+    add_record_locked(fingerprint, appended, offset + record.size());
     unindexed_.push_back(Unindexed{fingerprint, appended, good_end_});
     seen_size_ = good_end_;
     appended_end_ = good_end_;
@@ -500,13 +518,10 @@ class PackedBackend : public OutcomeStoreBackend {
 
   std::vector<std::pair<std::string, std::string>> load_all() override {
     std::lock_guard<std::mutex> lock(mutex_);
-    rescan_locked();  // one authoritative sequential pass
+    catch_up_locked(true);  // every entry verified against the log
     std::vector<std::pair<std::string, std::string>> out;
-    if (records_.empty()) return out;
-    std::ifstream log(log_path(), std::ios::binary);
-    if (!log.good()) return out;
     for (const auto& [fingerprint, record] : records_) {
-      auto bytes = read_record_payload(log, seen_size_, fingerprint, record);
+      auto bytes = read_payload_locked(fingerprint, record);
       if (!bytes || !parse_outcome_payload(*bytes, fingerprint, nullptr))
         continue;
       out.emplace_back(fingerprint, std::move(*bytes));
@@ -520,11 +535,12 @@ class PackedBackend : public OutcomeStoreBackend {
     std::uint64_t payload_size = 0;  ///< payload bytes (frame adds header+\n)
   };
 
-  /// The writer's open log, kept for the backend's lifetime. Shared so a
-  /// sync() fsyncing outside the mutex keeps the descriptor alive when an
-  /// append swaps in a replaced log meanwhile.
+  /// The open log the cache describes: read-only until the first append
+  /// reopens it for writing. Shared so a sync() fsyncing outside the
+  /// mutex keeps the descriptor alive when the log is replaced meanwhile.
   struct LogFile {
     int fd = -1;
+    bool writable = false;
     dev_t device = 0;
     ino_t inode = 0;
     LogFile() = default;
@@ -535,16 +551,20 @@ class PackedBackend : public OutcomeStoreBackend {
     }
   };
 
-  /// The cross-process writer flock on the current log, released on
-  /// scope exit.
-  struct WriterLock {
-    int fd;
-    explicit WriterLock(int locked_fd) : fd(locked_fd) {}
-    WriterLock(WriterLock&& other) noexcept : fd(other.fd) { other.fd = -1; }
+  /// The cross-process writer flock on a log, released on scope exit.
+  class WriterLock {
+   public:
+    explicit WriterLock(std::shared_ptr<const LogFile> file)
+        : file_(std::move(file)) {}
+    WriterLock(WriterLock&&) noexcept = default;
     WriterLock& operator=(WriterLock&&) = delete;
     ~WriterLock() {
-      if (fd >= 0) ::flock(fd, LOCK_UN);
+      if (file_) ::flock(file_->fd, LOCK_UN);
     }
+    int fd() const { return file_->fd; }
+
+   private:
+    std::shared_ptr<const LogFile> file_;
   };
 
   std::string log_path() const {
@@ -552,22 +572,6 @@ class PackedBackend : public OutcomeStoreBackend {
   }
   std::string index_path() const {
     return (fs::path(directory_) / "outcomes.idx").string();
-  }
-
-  static void pwrite_all(int fd, const std::string& data,
-                         std::uint64_t offset, const std::string& path) {
-    std::size_t written = 0;
-    while (written < data.size()) {
-      const ssize_t n = ::pwrite(fd, data.data() + written,
-                                 data.size() - written,
-                                 static_cast<off_t>(offset + written));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        raise("short write to outcome log " + path + ": " +
-              std::strerror(errno));
-      }
-      written += static_cast<std::size_t>(n);
-    }
   }
 
   static void append_file(const std::string& path, const std::string& data) {
@@ -594,74 +598,68 @@ class PackedBackend : public OutcomeStoreBackend {
   /// Read and verify the payload of `record`: the header at its offset
   /// must re-confirm fingerprint and size, the payload must be fully
   /// present, the trailing newline intact. nullopt on any mismatch.
-  static std::optional<std::string> read_record_payload(
-      std::ifstream& log, std::uint64_t log_size,
-      const std::string& fingerprint, const Record& record) {
-    const auto header = read_record_header(log, record.offset, log_size);
+  /// Requires mutex_ and a cache caught up with an open log.
+  std::optional<std::string> read_payload_locked(
+      const std::string& fingerprint, const Record& record) const {
+    const auto header =
+        read_record_header(log_->fd, record.offset, seen_size_);
     if (!header || header->fingerprint != fingerprint ||
-        header->payload_size != record.payload_size)
+        header->payload_size != record.payload_size ||
+        header->end > seen_size_)
       return std::nullopt;
-    const std::uint64_t payload_offset = record.offset + header->header_size;
-    if (payload_offset + header->payload_size + 1 > log_size)
+    // The payload and its trailing newline in one read.
+    std::string bytes(static_cast<std::size_t>(header->payload_size) + 1,
+                      '\0');
+    if (pread_full(log_->fd, bytes.data(), bytes.size(),
+                   record.offset + header->header_size) != bytes.size() ||
+        bytes.back() != '\n')
       return std::nullopt;
-    std::string bytes(static_cast<std::size_t>(header->payload_size), '\0');
-    log.clear();
-    log.seekg(static_cast<std::streamoff>(payload_offset));
-    log.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (static_cast<std::uint64_t>(log.gcount()) != header->payload_size)
-      return std::nullopt;
-    if (log.get() != '\n') return std::nullopt;
+    bytes.pop_back();
     return bytes;
   }
 
-  /// Walk records from `from`, recording each decodable frame (the
-  /// latest record for a fingerprint wins) and stopping at the first
-  /// frame that does not decode. Returns the clean end offset.
-  static std::uint64_t scan_records(std::ifstream& log, std::uint64_t from,
-                                    std::uint64_t log_size,
-                                    std::map<std::string, Record>& records) {
-    std::uint64_t at = from;
-    while (at < log_size) {
-      const auto header = read_record_header(log, at, log_size);
-      if (!header) break;
-      const std::uint64_t end =
-          at + header->header_size + header->payload_size + 1;
-      if (end > log_size) break;
-      if (byte_at(log, end - 1) != '\n') break;
-      records[header->fingerprint] = Record{at, header->payload_size};
-      at = end;
-    }
-    return at;
-  }
-
-  /// Open the log (creating the store directory and the file) for this
-  /// backend's writes. Requires mutex_.
-  void open_log_locked() {
-    // The store appears on the first write, like the dir format.
-    std::error_code mkdir_ec;
-    fs::create_directories(directory_, mkdir_ec);
-    if (mkdir_ec)
-      raise("cannot create outcome store at " + directory_ + ": " +
-            mkdir_ec.message());
+  /// Open the log at the store's path — for writing, creating the store
+  /// directory and the file, when `writable`. The cache is kept when the
+  /// path still names the file it describes and forgotten otherwise.
+  /// Returns false when a read-only open finds no log. Requires mutex_.
+  bool open_log_locked(bool writable) {
     const std::string log = log_path();
+    if (writable) {
+      // The store appears on the first write, like the dir format.
+      std::error_code mkdir_ec;
+      fs::create_directories(directory_, mkdir_ec);
+      if (mkdir_ec)
+        raise("cannot create outcome store at " + directory_ + ": " +
+              mkdir_ec.message());
+    }
     auto file = std::make_shared<LogFile>();
-    file->fd = ::open(log.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (file->fd < 0)
+    file->fd = writable
+                   ? ::open(log.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644)
+                   : ::open(log.c_str(), O_RDONLY | O_CLOEXEC);
+    if (file->fd < 0) {
+      if (!writable) return false;
       raise("cannot open outcome log " + log + ": " + std::strerror(errno));
+    }
     struct stat st {};
     if (::fstat(file->fd, &st) != 0)
       raise("cannot stat outcome log " + log + ": " + std::strerror(errno));
+    file->writable = writable;
     file->device = st.st_dev;
     file->inode = st.st_ino;
+    if (log_ && (log_->device != file->device || log_->inode != file->inode))
+      forget_log_locked();
     log_ = std::move(file);
+    return true;
   }
 
   /// Forget everything tied to the previous log file: its records, what
   /// was appended and synced to it, what its index holds. Requires mutex_.
   void forget_log_locked() {
     log_.reset();
-    primed_ = false;
-    scanned_ = false;
+    records_.clear();
+    scanned_ = true;
+    seen_size_ = 0;
+    good_end_ = 0;
     appended_end_ = 0;
     synced_end_ = 0;
     unindexed_.clear();
@@ -670,153 +668,131 @@ class PackedBackend : public OutcomeStoreBackend {
     index_stale_ = false;
   }
 
+  /// The one routine that updates the record map: catch it up with the
+  /// log at the store's path. It starts over when the path names a
+  /// different file or the log was cut below the clean end (even if it
+  /// has grown back since: the frame ending there no longer reads in
+  /// place). An empty map is primed from the index unless `verified` — a
+  /// writer, or a retry after an entry failed to verify — which instead
+  /// first rescans whatever the index supplied. Then it scans
+  /// [good_end_, size), so a call costs O(what was appended since the
+  /// last one). Requires mutex_.
+  void catch_up_locked(bool verified) {
+    struct stat st {};
+    if (::stat(log_path().c_str(), &st) != 0) {
+      forget_log_locked();  // no log (yet, or any more): nothing stored
+      return;
+    }
+    if ((!log_ || st.st_dev != log_->device || st.st_ino != log_->inode) &&
+        !open_log_locked(false)) {
+      forget_log_locked();
+      return;
+    }
+    if (::fstat(log_->fd, &st) != 0)
+      raise("cannot stat outcome log " + log_path() + ": " +
+            std::strerror(errno));
+    const auto size = static_cast<std::uint64_t>(st.st_size);
+    if ((verified && !scanned_) || !last_frame_intact_locked(size)) {
+      records_.clear();
+      good_end_ = 0;
+      scanned_ = true;
+    }
+    if (good_end_ == 0 && size > 0 && !verified) prime_from_index_locked(size);
+    while (good_end_ < size) {
+      const auto frame = read_frame(log_->fd, good_end_, size);
+      if (!frame) break;  // a torn tail (or an append still landing)
+      add_record_locked(frame->fingerprint,
+                        Record{good_end_, frame->payload_size}, frame->end);
+    }
+    seen_size_ = size;
+  }
+
+  /// Does the frame that ends the clean prefix still read in place? Not
+  /// when the log was cut below the clean end, whatever it has grown back
+  /// to since. Requires mutex_.
+  bool last_frame_intact_locked(std::uint64_t size) const {
+    if (good_end_ == 0) return true;
+    const auto frame = read_frame(log_->fd, last_offset_, size);
+    return frame && frame->end == good_end_ &&
+           frame->fingerprint == last_fingerprint_;
+  }
+
+  /// Map `fingerprint` to `record`, whose frame ends at `end`, the new
+  /// clean end. Requires mutex_.
+  void add_record_locked(const std::string& fingerprint, const Record& record,
+                         std::uint64_t end) {
+    records_[fingerprint] = record;
+    last_fingerprint_ = fingerprint;
+    last_offset_ = record.offset;
+    good_end_ = end;
+  }
+
+  /// Prime the empty map from the index: its longest valid prefix —
+  /// well-formed lines with strictly increasing offsets from 0 whose
+  /// final entry deep-checks against the log (header match, payload in
+  /// bounds, trailing newline). Anything after the prefix (a torn final
+  /// line, entries past a truncated tail) is left to the log scan.
+  /// Requires mutex_, an open log and an empty map.
+  void prime_from_index_locked(std::uint64_t size) {
+    const auto text = read_file(index_path());
+    if (!text) return;
+    std::vector<std::pair<std::string, Record>> entries;
+    std::istringstream index(*text);
+    std::string line;
+    while (std::getline(index, line)) {
+      const auto first_space = line.find(' ');
+      const auto second_space = first_space == std::string::npos
+                                    ? std::string::npos
+                                    : line.find(' ', first_space + 1);
+      if (second_space == std::string::npos) break;
+      const std::string fingerprint = line.substr(0, first_space);
+      const auto offset = parse_u64(
+          line.substr(first_space + 1, second_space - first_space - 1));
+      const auto payload_size = parse_u64(line.substr(second_space + 1));
+      if (fingerprint.empty() || fingerprint.size() > 64 || !offset ||
+          !payload_size.has_value())
+        break;
+      if (entries.empty() ? *offset != 0
+                          : *offset <= entries.back().second.offset)
+        break;
+      if (*offset >= size) break;
+      entries.emplace_back(fingerprint, Record{*offset, *payload_size});
+    }
+    for (; !entries.empty(); entries.pop_back()) {
+      // The final entry may describe a record a crash tore off and a
+      // later save truncated away; shrink the prefix until it verifies.
+      const auto& [last_fingerprint, last_record] = entries.back();
+      const auto frame = read_frame(log_->fd, last_record.offset, size);
+      if (!frame || frame->fingerprint != last_fingerprint ||
+          frame->payload_size != last_record.payload_size)
+        continue;
+      for (const auto& [fingerprint, record] : entries)
+        add_record_locked(fingerprint, record, frame->end);
+      // Entries are trusted, not re-verified: a writer rescans the log
+      // before deciding anything.
+      scanned_ = false;
+      return;
+    }
+  }
+
   /// Take the cross-process writer flock on the log at the store's path
-  /// and catch the cache up with it. A log replaced or removed under us
-  /// (the store directory deleted and recreated) is detected by inode and
-  /// reopened, so no write lands in an unlinked file. Requires mutex_.
+  /// — reopened for writing when the path names a new file, so no write
+  /// lands in an unlinked one — and catch the verified cache up with it.
+  /// Requires mutex_.
   WriterLock lock_writer_locked() {
-    const std::string log = log_path();
     for (;;) {
-      if (!log_) open_log_locked();
-      while (::flock(log_->fd, LOCK_EX) != 0) {
+      if (!log_ || !log_->writable) open_log_locked(true);
+      const auto file = log_;
+      while (::flock(file->fd, LOCK_EX) != 0) {
         if (errno != EINTR)
-          raise("cannot lock outcome log " + log + ": " +
+          raise("cannot lock outcome log " + log_path() + ": " +
                 std::strerror(errno));
       }
-      struct stat st {};
-      if (::stat(log.c_str(), &st) == 0 && st.st_dev == log_->device &&
-          st.st_ino == log_->inode)
-        break;
-      ::flock(log_->fd, LOCK_UN);
-      forget_log_locked();
+      WriterLock writer(file);
+      catch_up_locked(true);
+      if (log_ == file) return writer;
+      // The path named another file by the time we held the lock.
     }
-    WriterLock writer(log_->fd);
-
-    struct stat st {};
-    if (::fstat(writer.fd, &st) != 0)
-      raise("cannot stat outcome log " + log + ": " + std::strerror(errno));
-    const auto size = static_cast<std::uint64_t>(st.st_size);
-    if (!scanned_ || size < good_end_) {
-      rescan_locked();
-      // Appending on an unread log would overwrite its records.
-      if (!scanned_)
-        raise("cannot read outcome log " + log + ": " +
-              std::strerror(errno));
-      return writer;
-    }
-    if (good_end_ < size) {
-      // Clean records before good_end_ never change: scan only what was
-      // appended (or torn) since.
-      std::ifstream in(log, std::ios::binary);
-      if (!in.good())
-        raise("cannot read outcome log " + log + ": " +
-              std::strerror(errno));
-      good_end_ = scan_records(in, good_end_, size, records_);
-    }
-    seen_size_ = size;
-    return writer;
-  }
-
-  /// Authoritative cache rebuild: scan the whole log. Requires mutex_.
-  void rescan_locked() {
-    std::error_code ec;
-    const auto file_size = fs::file_size(log_path(), ec);
-    const std::uint64_t size =
-        ec ? 0 : static_cast<std::uint64_t>(file_size);
-    records_.clear();
-    good_end_ = 0;
-    seen_size_ = size;
-    primed_ = true;
-    scanned_ = true;
-    if (size == 0) return;
-    std::ifstream log(log_path(), std::ios::binary);
-    if (!log.good()) {
-      // Transient open failure: stay unprimed so the next call retries.
-      primed_ = false;
-      scanned_ = false;
-      seen_size_ = 0;
-      return;
-    }
-    good_end_ = scan_records(log, 0, size, records_);
-  }
-
-  /// Cheap cache refresh for readers: no-op while the log size is
-  /// unchanged; otherwise prime from the index where it validates and
-  /// scan the log for the rest. Requires mutex_.
-  void refresh_locked() {
-    std::error_code ec;
-    const auto file_size = fs::file_size(log_path(), ec);
-    const std::uint64_t size =
-        ec ? 0 : static_cast<std::uint64_t>(file_size);
-    if (primed_ && size == seen_size_) return;
-    records_.clear();
-    good_end_ = 0;
-    seen_size_ = size;
-    primed_ = true;
-    // Index entries are trusted, not re-verified: the next append
-    // rescans the log before deciding anything.
-    scanned_ = false;
-    if (size == 0) return;
-    std::ifstream log(log_path(), std::ios::binary);
-    if (!log.good()) {
-      primed_ = false;
-      seen_size_ = 0;
-      return;
-    }
-
-    std::uint64_t scan_from = 0;
-    std::ifstream index(index_path());
-    if (index.good()) {
-      // Keep the longest valid prefix of the index: well-formed lines
-      // with strictly increasing offsets starting at 0, ending with an
-      // entry that deep-checks against the log (header match, payload in
-      // bounds, trailing newline). Anything after the prefix — a torn
-      // final line, entries past a truncated tail — is re-derived by
-      // scanning the log.
-      std::vector<std::pair<std::string, Record>> entries;
-      std::string line;
-      while (std::getline(index, line)) {
-        const auto first_space = line.find(' ');
-        const auto second_space = first_space == std::string::npos
-                                      ? std::string::npos
-                                      : line.find(' ', first_space + 1);
-        if (second_space == std::string::npos) break;
-        const std::string fingerprint = line.substr(0, first_space);
-        const auto offset = parse_u64(
-            line.substr(first_space + 1, second_space - first_space - 1));
-        const auto payload_size = parse_u64(line.substr(second_space + 1));
-        if (fingerprint.empty() || fingerprint.size() > 64 || !offset ||
-            !payload_size.has_value())
-          break;
-        if (entries.empty() ? *offset != 0
-                            : *offset <= entries.back().second.offset)
-          break;
-        if (*offset >= size) break;
-        entries.emplace_back(fingerprint,
-                             Record{*offset, *payload_size});
-      }
-      while (!entries.empty()) {
-        const auto& [last_fingerprint, last_record] = entries.back();
-        const auto header =
-            read_record_header(log, last_record.offset, size);
-        if (header && header->fingerprint == last_fingerprint &&
-            header->payload_size == last_record.payload_size) {
-          const std::uint64_t end = last_record.offset +
-                                    header->header_size +
-                                    header->payload_size + 1;
-          if (end <= size && byte_at(log, end - 1) == '\n') {
-            for (const auto& entry : entries)
-              records_[entry.first] = entry.second;
-            scan_from = end;
-            break;
-          }
-        }
-        // The final entry may describe a record a crash tore off and a
-        // later save truncated away; shrink the prefix and retry.
-        entries.pop_back();
-      }
-    }
-    good_end_ = scan_records(log, scan_from, size, records_);
   }
 
   /// Index the records the last fsync made durable: append their lines
@@ -881,15 +857,17 @@ class PackedBackend : public OutcomeStoreBackend {
   }
 
   std::mutex mutex_;
-  bool primed_ = false;            ///< cache reflects some log state
-  /// The cache came from scanning the log (under the writer lock or not),
-  /// not from the index: a writer may catch up incrementally.
-  bool scanned_ = false;
+  /// The map came from scanning the log, not (in part) from the index,
+  /// so a writer may trust it.
+  bool scanned_ = true;
   std::uint64_t seen_size_ = 0;    ///< log size the cache reflects
   std::uint64_t good_end_ = 0;     ///< end of the last decodable record
   std::map<std::string, Record> records_;
+  /// The frame that ends at good_end_ (when it is non-zero).
+  std::string last_fingerprint_;
+  std::uint64_t last_offset_ = 0;
 
-  std::shared_ptr<const LogFile> log_;  ///< open on the first append
+  std::shared_ptr<const LogFile> log_;  ///< open once the log exists
   std::uint64_t appended_end_ = 0;  ///< log end after our last append
   std::uint64_t synced_end_ = 0;    ///< log end our last fsync covered
   /// Set by a failed fsync; every later append and sync throws it.

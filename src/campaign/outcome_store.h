@@ -26,8 +26,11 @@
 //     rename when stale). One file per scenario stops scaling around
 //     10^5 scenarios — the packed log keeps fleet-scale campaigns to two
 //     files and gives the aggregator/merger one sequential bulk load.
-//     Appends land under an exclusive flock and cost O(1) however long
-//     the log is; a torn tail from a crash mid-append is skipped on load
+//     Appends land under an exclusive flock. Each store instance keeps a
+//     fingerprint → record map and catches it up by scanning only what
+//     the log gained since its last call, so reads and appends cost O(1)
+//     however long the log is, even while other instances (processes)
+//     extend it. A torn tail from a crash mid-append is skipped on load
 //     (the same discipline as the service job journal) and truncated
 //     away by the next append, so re-execution repairs it.
 //

@@ -474,9 +474,13 @@ ScenarioMatrix ScenarioMatrix::declare(
       raise(flag + ": " + e.what());
     }
   }
-  if (matrix.platforms.empty()) matrix.platforms = {"xeon-max"};
-  if (matrix.strategies.empty()) matrix.strategies = {"exhaustive"};
+  matrix.fill_defaults();
   return matrix;
+}
+
+void ScenarioMatrix::fill_defaults() {
+  if (platforms.empty()) platforms = {"xeon-max"};
+  if (strategies.empty()) strategies = {"exhaustive"};
 }
 
 }  // namespace hmpt::campaign

@@ -161,12 +161,16 @@ struct ScenarioMatrix {
   /// The matrix a command line declares: the campaign file's axes (when
   /// `campaign_file` is non-empty), then each (`--directive`, value) flag
   /// applied in command-line order — flags append to the file's axes and
-  /// override its reps/top-k — then platform xeon-max and strategy
-  /// exhaustive for axes still empty. A flag's error names the flag:
-  /// "--tiers: not an integer: '2x'".
+  /// override its reps/top-k — then fill_defaults(). A flag's error names
+  /// the flag: "--tiers: not an integer: '2x'".
   static ScenarioMatrix declare(
       const std::string& campaign_file,
       const std::vector<std::pair<std::string, std::string>>& flags);
+
+  /// Platform xeon-max and strategy exhaustive for axes still empty —
+  /// the defaults every front end (hmpt_campaign, hmpt_submit, hmptd)
+  /// applies to a declared matrix. parse()/load() leave axes as written.
+  void fill_defaults();
 };
 
 }  // namespace hmpt::campaign

@@ -175,6 +175,11 @@ ConcurrentQuantileTracker::Snapshot ConcurrentQuantileTracker::snapshot()
   return snap;
 }
 
+void ConcurrentQuantileTracker::reset() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  tracker_ = QuantileTracker();
+}
+
 LinearFit fit_linear(const std::vector<double>& x,
                      const std::vector<double>& y) {
   HMPT_REQUIRE(x.size() == y.size(), "fit_linear size mismatch");

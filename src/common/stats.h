@@ -123,6 +123,8 @@ class ConcurrentQuantileTracker {
 
   void add(double x);
   Snapshot snapshot() const;
+  /// Forget every sample.
+  void reset();
 
  private:
   mutable std::mutex mutex_;

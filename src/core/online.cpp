@@ -31,17 +31,13 @@ OnlineResult OnlineTuner::tune(const workloads::Workload& workload,
   const int tiers = space.num_tiers();
   const double unlimited = space.total_bytes() + 1.0;
 
-  // Per-tier capacity caps: tier 0 (DDR) is the unconstrained baseline;
-  // tier 1 honours the legacy hbm_budget_bytes unless tier_budget_bytes
-  // overrides it.
+  // Per-tier capacity caps: tier 0 (DDR) is the unconstrained baseline.
   std::vector<double> caps(static_cast<std::size_t>(tiers), unlimited);
   for (int t = 1; t < tiers; ++t) {
     const auto ti = static_cast<std::size_t>(t);
     if (ti < options_.tier_budget_bytes.size() &&
         options_.tier_budget_bytes[ti] > 0.0)
       caps[ti] = options_.tier_budget_bytes[ti];
-    else if (t == 1 && options_.hbm_budget_bytes > 0.0)
-      caps[ti] = options_.hbm_budget_bytes;
   }
 
   // Place value of each group's digit, for single-move id updates.

@@ -36,10 +36,9 @@ struct OnlineStep {
 };
 
 struct OnlineTunerOptions {
-  double hbm_budget_bytes = 0.0;  ///< <= 0: unlimited
-  /// Per-tier capacity caps indexed by tier (PoolKind value); <= 0 entries
-  /// and tiers beyond the vector are unlimited. When set for tier 1 it
-  /// takes precedence over the legacy `hbm_budget_bytes`.
+  /// Per-tier capacity caps indexed by tier (PoolKind value), as
+  /// resolved_caps() returns them; <= 0 entries and tiers beyond the
+  /// vector are unlimited.
   std::vector<double> tier_budget_bytes;
   /// Relative improvement a trial move must show to be kept.
   double keep_threshold = 1e-3;

@@ -2,29 +2,6 @@
 
 namespace hmpt::obs {
 
-void Histogram::observe(double v) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  tracker_.add(v);
-}
-
-ConcurrentQuantileTracker::Snapshot Histogram::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ConcurrentQuantileTracker::Snapshot snap;
-  snap.count = tracker_.count();
-  snap.mean = tracker_.mean();
-  snap.min = tracker_.min();
-  snap.max = tracker_.max();
-  snap.p50 = tracker_.p50();
-  snap.p95 = tracker_.p95();
-  snap.p99 = tracker_.p99();
-  return snap;
-}
-
-void Histogram::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  tracker_ = QuantileTracker();
-}
-
 MetricsRegistry& MetricsRegistry::instance() {
   // Leaky, like the trace recorder: metrics may be recorded from worker
   // threads during static destruction.

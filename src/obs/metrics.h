@@ -62,17 +62,11 @@ class Gauge {
 };
 
 /// A streaming distribution: count/mean/min/max plus P² p50/p95/p99 in
-/// O(1) memory (common/stats QuantileTracker under a mutex — histogram
-/// observation is rarer than counter increments, so a lock is fine).
-class Histogram {
+/// O(1) memory (common/stats ConcurrentQuantileTracker — histogram
+/// observation is rarer than counter increments, so its lock is fine).
+class Histogram : public ConcurrentQuantileTracker {
  public:
-  void observe(double v);
-  ConcurrentQuantileTracker::Snapshot snapshot() const;
-  void reset();
-
- private:
-  mutable std::mutex mutex_;
-  QuantileTracker tracker_;
+  void observe(double v) { add(v); }
 };
 
 class MetricsRegistry {

@@ -17,7 +17,9 @@
 namespace hmpt::report {
 
 namespace fs = std::filesystem;
+using campaign::budget_text;
 using campaign::CampaignResult;
+using campaign::fingerprint_of;
 using campaign::Scenario;
 using campaign::ScenarioRun;
 
@@ -34,22 +36,6 @@ std::string html_escape(const std::string& text) {
       case '"': out += "&quot;"; break;
       default: out += c;
     }
-  }
-  return out;
-}
-
-/// The content address captured when the scenario ran (recomputed only
-/// for hand-built results), matching the aggregation layer.
-std::string fingerprint_of(const ScenarioRun& run) {
-  return run.fingerprint.empty() ? run.scenario.fingerprint()
-                                 : run.fingerprint;
-}
-
-std::string budget_text(const Scenario& s) {
-  std::string out = cell(s.budget_gb, 1);
-  for (const auto& [tier, gb] : s.tier_budgets_gb) {
-    out.append(";").append(std::to_string(tier));
-    out.append(":").append(cell(gb, 1));
   }
   return out;
 }

@@ -64,7 +64,7 @@ Daemon::Daemon(DaemonOptions options, ExecutionProvider* provider)
   scheduler_options.max_latency_classes = options_.latency_classes;
   scheduler_options.retry = options_.retry;
   scheduler_ = std::make_unique<Scheduler>(
-      *provider_, campaign::OutcomeStore(options_.store_dir),
+      *provider_, campaign::OutcomeStore::open_existing(options_.store_dir),
       scheduler_options);
 }
 
@@ -338,8 +338,7 @@ void Daemon::handle_submit(const std::shared_ptr<Connection>& connection,
     // A whole campaign matrix, expanded server-side with the same axis
     // defaults hmpt_campaign applies.
     auto matrix = campaign::ScenarioMatrix::parse(request.campaign_text);
-    if (matrix.platforms.empty()) matrix.platforms = {"xeon-max"};
-    if (matrix.strategies.empty()) matrix.strategies = {"exhaustive"};
+    matrix.fill_defaults();
     scenarios = matrix.expand();
     campaign_fp = campaign::campaign_fingerprint(scenarios);
   }

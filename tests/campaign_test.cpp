@@ -1133,6 +1133,87 @@ TEST_F(PackedStoreTest, RecreatedStoreDirectoryIsDetectedBetweenSaves) {
   EXPECT_EQ(reader.load_all_payloads().size(), 1u);
 }
 
+// A reader instance keeps its map across calls and only scans what the
+// log gained since; these pin down that it never answers from a stale map.
+
+TEST_F(PackedStoreTest, ReaderSeesTheOtherInstancesAppends) {
+  StoreDir dir("hmpt_packed_reader_follows");
+  const OutcomeStore writer(dir.path(), StoreFormat::Packed);
+  const OutcomeStore reader(dir.path(), StoreFormat::Packed);
+  std::vector<Scenario> scenario_list;
+  std::vector<tuner::TuningOutcome> outcomes;
+  for (int reps = 1; reps <= 4; ++reps) {
+    scenario_list.push_back(scenario_with_reps(reps));
+    outcomes.push_back(CampaignRunner::execute(scenario_list.back()));
+  }
+  EXPECT_FALSE(reader.contains(scenario_list[0]));  // no log yet
+  for (std::size_t k = 0; k < scenario_list.size(); ++k) {
+    writer.append(scenario_list[k], outcomes[k]);
+    if (k % 2 == 1) writer.sync();  // visible before and after the sync
+    ASSERT_TRUE(reader.contains(scenario_list[k])) << "record " << k;
+    EXPECT_EQ(json_of(*reader.load(scenario_list[k])), json_of(outcomes[k]));
+  }
+  EXPECT_EQ(reader.load_all_payloads(), writer.load_all_payloads());
+  EXPECT_EQ(reader.load_all_payloads().size(), scenario_list.size());
+}
+
+TEST_F(PackedStoreTest, ReaderSeesARecordAppendedAfterAnEqualSizeTornTailRepair) {
+  StoreDir dir("hmpt_packed_reader_equal_size");
+  const OutcomeStore writer(dir.path(), StoreFormat::Packed);
+  const OutcomeStore reader(dir.path(), StoreFormat::Packed);
+  const auto s1 = scenario_with_reps(1);
+  const auto s2 = scenario_with_reps(2);
+  const auto o2 = CampaignRunner::execute(s2);
+  writer.save(s1, CampaignRunner::execute(s1));
+
+  // A crash mid-append grew the log by exactly s2's frame, but the bytes
+  // never reached the disk: a zero-filled torn tail.
+  const std::string payload = OutcomeStore::make_payload(s2, o2);
+  const std::string frame = "hmpt1 " + s2.fingerprint() + " " +
+                            std::to_string(payload.size()) + "\n" +
+                            payload + "\n";
+  const auto torn_size = log_size(dir.path()) + frame.size();
+  fs::resize_file(fs::path(dir.path()) / "outcomes.log", torn_size);
+  EXPECT_TRUE(reader.contains(s1));
+  EXPECT_FALSE(reader.contains(s2));
+
+  // The repair cuts the tail and appends s2 in its place: the log ends
+  // at the size the reader already saw, with different bytes.
+  writer.save(s2, o2);
+  ASSERT_EQ(log_size(dir.path()), torn_size);
+  EXPECT_TRUE(reader.contains(s2));
+  const auto loaded = reader.load(s2);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(json_of(*loaded), json_of(o2));
+  EXPECT_EQ(reader.load_all_payloads().size(), 2u);
+}
+
+TEST_F(PackedStoreTest, ReaderNoticesASameSizeLogReplacedUnderIt) {
+  StoreDir dir("hmpt_packed_reader_replaced");
+  StoreDir other("hmpt_packed_reader_replacement");
+  const std::string fp_a(16, 'a');
+  const std::string fp_b(16, 'b');
+  const std::string bytes_a(100, 'x');
+  const std::string bytes_b(100, 'y');
+  const auto write = [](const std::string& path, const std::string& fp,
+                        const std::string& bytes) {
+    const OutcomeStore store(path, StoreFormat::Packed);
+    store.append_payload(fp, bytes);
+    store.sync();
+  };
+  write(dir.path(), fp_a, bytes_a);
+  write(other.path(), fp_b, bytes_b);
+  ASSERT_EQ(log_size(dir.path()), log_size(other.path()));
+
+  const OutcomeStore reader(dir.path(), StoreFormat::Packed);
+  EXPECT_EQ(reader.payload(fp_a), bytes_a);
+  // Another log of the same size takes the path (the index stays stale).
+  fs::rename(fs::path(other.path()) / "outcomes.log",
+             fs::path(dir.path()) / "outcomes.log");
+  EXPECT_EQ(reader.payload(fp_b), bytes_b);
+  EXPECT_EQ(reader.payload(fp_a), std::nullopt);
+}
+
 // ----------------------------------------------------------------- runner
 
 class CampaignRunnerTest : public ::testing::Test {

@@ -198,7 +198,7 @@ TEST_F(OnlineTest, RespectsCapacityBudget) {
   const auto app = workloads::make_mg_model(sim_);
   const auto space = space_for(app);
   tuner::OnlineTunerOptions options;
-  options.hbm_budget_bytes = 10.0 * GB;
+  options.tier_budget_bytes = {0.0, 10.0 * GB};
   tuner::OnlineTuner online(sim_, app.context, options);
   const auto result = online.tune(*app.workload, space);
   EXPECT_LE(space.hbm_bytes(result.final_mask), 10.0 * GB);

@@ -767,6 +767,40 @@ TEST_F(DaemonTest, CampaignSubmitExpandsServerSide) {
   EXPECT_TRUE(daemon.wait_for(10000));
 }
 
+TEST_F(DaemonTest, ServesAPackedCampaignStoreInItsOwnLayout) {
+  // A batch run with --store-format packed filled the store first.
+  const std::string campaign_text =
+      "workload mg\nstrategy estimator\nstrategy online\nreps 1\n";
+  auto matrix = campaign::ScenarioMatrix::parse(campaign_text);
+  matrix.fill_defaults();
+  const auto scenarios = matrix.expand();
+  campaign::CampaignOptions batch;
+  batch.output_dir = store_dir_.path();
+  batch.store_format = campaign::StoreFormat::Packed;
+  ASSERT_EQ(campaign::CampaignRunner(batch).run(scenarios).executed,
+            static_cast<int>(scenarios.size()));
+
+  CountingProvider provider;
+  Daemon daemon(options_for(&provider), &provider);
+  daemon.start();
+  TestClient client(daemon.endpoint());
+  Request submit;
+  submit.op = Op::Submit;
+  submit.campaign_text = campaign_text;
+  const auto reply = client.call(submit);
+  ASSERT_TRUE(reply.ok) << reply.error;
+  const auto& jobs = reply.body.at("jobs").as_array();
+  ASSERT_EQ(jobs.size(), scenarios.size());
+  for (const auto& job : jobs)
+    EXPECT_EQ(job.at("state").as_string(), "cached");
+  EXPECT_EQ(provider.runs.load(), 0);
+  // No dir-layout store grew beside the packed log.
+  EXPECT_FALSE(fs::exists(fs::path(store_dir_.path()) / "outcomes"));
+
+  daemon.request_shutdown();
+  EXPECT_TRUE(daemon.wait_for(10000));
+}
+
 TEST_F(DaemonTest, MalformedRequestsGetStructuredErrorsNotCrashes) {
   CountingProvider provider;
   Daemon daemon(options_for(&provider), &provider);
