@@ -8,7 +8,6 @@
 //   resume      same campaign again with resume: every scenario must load
 //               from the store (hit-rate 1.0; anything less is a
 //               fingerprint instability bug)
-//   dry-run     plan-only pass (matrix expansion + fingerprinting)
 //   shard-cold  the same campaign as 3 disjoint --shard slices, each into
 //               its own store with a manifest
 //   merge       hmpt_merge's engine unioning the 3 shard stores; the
@@ -131,9 +130,6 @@ int main(int argc, char** argv) {
   auto resume_options = options;
   resume_options.resume = true;
   const auto warm = timed("resume", resume_options);
-  auto dry_options = options;
-  dry_options.dry_run = true;
-  timed("dry-run", dry_options);
 
   const double hit_rate =
       static_cast<double>(warm.cached) /

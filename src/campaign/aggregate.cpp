@@ -129,7 +129,6 @@ Json status_json(const CampaignResult& result) {
   o["executed"] = Json(result.executed);
   o["cached"] = Json(result.cached);
   o["failed"] = Json(result.failed);
-  o["planned"] = Json(result.planned);
   o["seconds"] = Json(result.seconds);
 
   JsonArray runs;
@@ -141,10 +140,6 @@ Json status_json(const CampaignResult& result) {
       r["seconds"] = Json(run.seconds);
     if (run.status == ScenarioRun::Status::Failed)
       r["error"] = Json(run.error);
-    // Attempt counts are volatile (retry timing varies run to run) and
-    // belong here, never in runs.csv/summary.json — those stay
-    // byte-identical across faulty and fault-free runs.
-    if (run.attempts > 0) r["attempts"] = Json(run.attempts);
     runs.push_back(Json(std::move(r)));
   }
   o["runs"] = Json(std::move(runs));

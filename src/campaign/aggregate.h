@@ -52,7 +52,7 @@ Table ranked_table(const CampaignResult& result);
 /// with their recorded error message.
 Json summary_json(const CampaignResult& result);
 
-/// The volatile run log: executed/cached/failed/planned counts, campaign
+/// The volatile run log: executed/cached/failed counts, campaign
 /// wall time, and per-run status + seconds. Deliberately separate from
 /// summary.json so the deterministic artefacts stay comparable across
 /// resume and shard merges.

@@ -10,7 +10,6 @@
 
 #include "campaign/platforms.h"
 #include "common/error.h"
-#include "common/retry.h"
 #include "common/thread_name.h"
 #include "common/thread_pool.h"
 #include "core/session.h"
@@ -146,7 +145,6 @@ class GroupCommit {
 
 const char* to_string(ScenarioRun::Status status) {
   switch (status) {
-    case ScenarioRun::Status::Planned: return "planned";
     case ScenarioRun::Status::Executed: return "executed";
     case ScenarioRun::Status::Cached: return "cached";
     case ScenarioRun::Status::Failed: return "failed";
@@ -164,9 +162,6 @@ CampaignRunner::CampaignRunner(CampaignOptions options)
       store_(options_.output_dir, options_.store_format) {
   HMPT_REQUIRE(options_.scenario_jobs >= 0,
                "scenario_jobs must be >= 0 (0 = all hardware threads)");
-  HMPT_REQUIRE(options_.attempts >= 1, "attempts must be >= 1");
-  HMPT_REQUIRE(options_.scenario_timeout_s >= 0.0,
-               "scenario_timeout_s must be >= 0 (0 = none)");
 }
 
 tuner::TuningOutcome CampaignRunner::execute(const Scenario& scenario) {
@@ -200,7 +195,6 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios,
   const auto finish = [&](std::size_t i, ScenarioRun&& run) {
     std::lock_guard<std::mutex> lock(mutex);
     switch (run.status) {
-      case ScenarioRun::Status::Planned: ++result.planned; break;
       case ScenarioRun::Status::Executed: ++result.executed; break;
       case ScenarioRun::Status::Cached: ++result.cached; break;
       case ScenarioRun::Status::Failed: ++result.failed; break;
@@ -216,7 +210,7 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios,
     run.scenario = scenarios[i];
     run.fingerprint = run.scenario.fingerprint();
 
-    // The whole scenario — cache probe, attempts, store write — as one
+    // The whole scenario — cache probe, execution, store append — as one
     // span; the closing args record how it ended. Purely observational:
     // disarmed this is four no-op calls, and armed it touches nothing
     // the outcome or the artefacts derive from.
@@ -227,12 +221,6 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios,
         obs::metrics().counter("campaign.scenarios");
     scenarios_finished.add();
 
-    if (options_.dry_run) {
-      run.status = ScenarioRun::Status::Planned;
-      span.arg("status", "planned");
-      finish(i, std::move(run));
-      return;
-    }
     try {
       if (options_.resume) {
         if (auto cached = store_.load(run.scenario)) {
@@ -243,38 +231,15 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios,
           return;
         }
       }
-      // The same failure model the daemon scheduler applies: retry
-      // transient failures with deterministic backoff (the fingerprint
-      // seeds the jitter stream), give each attempt a cooperative
-      // deadline, stop on terminal errors.
-      RetryPolicy policy;
-      policy.max_attempts = options_.attempts;
-      policy.attempt_deadline_s = options_.scenario_timeout_s;
       const auto start = Clock::now();
-      const auto attempted = attempt_with_retries(
-          policy, stream_of(run.fingerprint),
-          [&](const CancelToken& token) {
-            obs::TraceSpan attempt_span("campaign", "attempt");
-            attempt_span.arg("fingerprint", run.fingerprint);
-            token.check();
-            auto outcome = execute(run.scenario);
-            store_.append(run.scenario, outcome);
-            return outcome;
-          });
+      auto outcome = execute(run.scenario);
+      store_.append(run.scenario, outcome);
       run.seconds = seconds_since(start);
-      run.attempts = attempted.attempt_count();
-      span.arg_number("attempts", static_cast<std::uint64_t>(run.attempts));
-      if (attempted.ok()) {
-        run.outcome = std::move(*attempted.value);
-        run.status = ScenarioRun::Status::Executed;
-        span.arg("status", "executed");
-        commit.submit(i, std::move(run));  // finished once durable
-        return;
-      }
-      if (attempted.attempts.size() == 1)
-        raise(attempted.attempts.front().error);
-      raise("after " + std::to_string(run.attempts) +
-            " attempts: " + format_attempts(attempted.attempts));
+      run.outcome = std::move(outcome);
+      run.status = ScenarioRun::Status::Executed;
+      span.arg("status", "executed");
+      commit.submit(i, std::move(run));  // finished once durable
+      return;
     } catch (const std::exception& e) {
       if (!options_.keep_going) throw;  // the pool rethrows to the caller
       run.status = ScenarioRun::Status::Failed;

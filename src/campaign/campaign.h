@@ -9,7 +9,6 @@
 //     whose fingerprint is already stored load instead of executing —
 //     written through a pipelined group commit (one fsync per batch of
 //     finished scenarios, overlapped with the next ones' execution),
-//   * a dry-run mode that only plans (no execution, no store writes),
 //   * keep-going vs fail-fast error policy.
 // Results come back in scenario order whatever the concurrency, so
 // aggregation (runs.csv, ranked summaries) is deterministic and a resumed
@@ -37,52 +36,41 @@ struct CampaignOptions {
   /// fleet-scale campaigns. Stored bytes are identical either way, and
   /// hmpt_merge converts between formats losslessly.
   StoreFormat store_format = StoreFormat::Dir;
-  bool resume = false;    ///< skip scenarios already in the store
-  bool dry_run = false;   ///< plan only: no execution, no writes
+  bool resume = false;  ///< skip scenarios already in the store
   /// Record failed scenarios and keep running (exit status reports them);
   /// false = fail fast, first error aborts the campaign.
   bool keep_going = false;
   /// Concurrent scenarios (1 = serial, 0 = all hardware threads), the
   /// campaign's one level of parallelism: each scenario tunes serially.
   int scenario_jobs = 1;
-  /// Execution attempts per scenario (>= 1; 1 = fail fast). Transient
-  /// failures are retried with the same deterministic backoff the daemon
-  /// scheduler uses (common/retry); terminal errors never retry.
-  int attempts = 1;
-  /// Per-attempt deadline in seconds; 0 = none. Enforcement is
-  /// cooperative (checked at attempt boundaries): an expired deadline
-  /// fails the attempt and stops further ones.
-  double scenario_timeout_s = 0.0;
 };
 
 struct ScenarioRun {
   enum class Status {
-    Planned,   ///< dry run: would execute
     Executed,  ///< ran and was stored
     Cached,    ///< loaded from the store (--resume hit)
     Failed,    ///< threw; error holds the message (keep-going only)
   };
 
-  Scenario scenario;             ///< what ran (or would run)
+  Scenario scenario;             ///< what ran
   /// Content address captured when the scenario ran. Aggregation and
   /// manifests use this stored string, never a recomputed hash, so a
   /// recorded-profile file changing on disk after the run cannot re-key
   /// a finished scenario. Empty only for hand-built results (aggregation
   /// then falls back to recomputing).
   std::string fingerprint;
-  Status status = Status::Planned;
+  /// Failed until set: a hand-built run with no outcome never counts as
+  /// having one.
+  Status status = Status::Failed;
   tuner::TuningOutcome outcome;  ///< valid for Executed/Cached
   std::string error;             ///< valid for Failed
   /// Wall time of execution plus the store append (0 otherwise); the
   /// batch fsync that makes the outcome durable is charged to the
   /// campaign wall time, not here.
   double seconds = 0.0;
-  /// Execution attempts made (retries included); 0 for Planned/Cached.
-  /// Volatile — lands in status.json, never in runs.csv/summary.json.
-  int attempts = 0;
 };
 
-/// The status's artefact spelling ("planned"/"executed"/"cached"/"failed").
+/// The status's artefact spelling ("executed"/"cached"/"failed").
 const char* to_string(ScenarioRun::Status status);
 
 /// The run's content address: the fingerprint captured when it ran,
@@ -97,11 +85,9 @@ struct CampaignResult {
   int executed = 0;               ///< ran fresh and were stored
   int cached = 0;                 ///< served from the outcome store
   int failed = 0;                 ///< recorded failures (keep-going)
-  int planned = 0;                ///< dry-run entries
   double seconds = 0.0;           ///< campaign wall time
 
-  /// True when no scenario failed (planned/cached/executed all count as
-  /// success).
+  /// True when no scenario failed.
   bool ok() const { return failed == 0; }
 };
 
@@ -121,13 +107,14 @@ class CampaignRunner {
   /// The outcome store under options().output_dir.
   const OutcomeStore& store() const { return store_; }
 
-  /// Execute (or plan, or resume) the scenario list. Executed outcomes
-  /// are appended to the store by the workers and made durable by one
-  /// committer thread that syncs a batch at a time; `on_scenario` fires
-  /// for an executed scenario only after its outcome is durable, and
-  /// run() returns (or throws) only after the final sync. A failed sync
-  /// turns its batch into Failed runs under keep_going and is rethrown
-  /// otherwise.
+  /// Run the scenario list: each scenario loads from the store on a
+  /// `resume` hit, or executes and is appended to the store by its
+  /// worker. One committer thread makes the appended outcomes durable,
+  /// syncing a batch at a time; `on_scenario` fires for an executed
+  /// scenario only after its outcome is durable, and run() returns (or
+  /// throws) only after the final sync. Under keep_going an error fails
+  /// its scenario with the error's own message (a failed sync, every run
+  /// of its batch); otherwise it is rethrown.
   CampaignResult run(const std::vector<Scenario>& scenarios,
                      const ScenarioCallback& on_scenario = {}) const;
 

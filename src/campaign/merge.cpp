@@ -116,24 +116,14 @@ ShardManifest empty_manifest(const std::vector<Scenario>& campaign_scenarios,
   return manifest;
 }
 
-/// The manifest entry of a finished run; throws for a dry-run (Planned)
-/// one — plans leave no durable state to merge.
+/// The manifest entry of a finished run: Complete unless it failed.
 ShardManifest::Entry manifest_entry(const ScenarioRun& run) {
   ShardManifest::Entry entry;
   entry.fingerprint = fingerprint_of(run);
   entry.scenario = run.scenario;
-  switch (run.status) {
-    case ScenarioRun::Status::Executed:
-    case ScenarioRun::Status::Cached:
-      entry.status = ShardEntryStatus::Complete;
-      break;
-    case ScenarioRun::Status::Failed:
-      entry.status = ShardEntryStatus::Failed;
-      entry.error = run.error;
-      break;
-    case ScenarioRun::Status::Planned:
-      raise("cannot write a shard manifest for a dry run — plans leave "
-            "no outcomes to merge");
+  if (run.status == ScenarioRun::Status::Failed) {
+    entry.status = ShardEntryStatus::Failed;
+    entry.error = run.error;
   }
   return entry;
 }

@@ -77,8 +77,7 @@ struct ShardManifest {
 
 /// Build the manifest of a finished shard run: `campaign_scenarios` is the
 /// *full* expanded matrix (matrix order), `result` the runs of this
-/// shard's slice. Throws hmpt::Error when the result contains dry-run
-/// (Planned) entries — plans leave no durable state to merge.
+/// shard's slice.
 ShardManifest make_manifest(const std::vector<Scenario>& campaign_scenarios,
                             const ShardSpec& shard,
                             const CampaignResult& result);
@@ -102,10 +101,10 @@ class ManifestProgress {
                    const ShardSpec& shard, std::string store_dir);
 
   /// Record one finished scenario (Executed/Cached → Complete, Failed →
-  /// Failed; Planned throws) and atomically rewrite the manifest. A
-  /// fingerprint recorded twice keeps the first terminal record unless
-  /// the new one is Complete (completion supersedes a recorded failure —
-  /// a retried scenario that eventually succeeded).
+  /// Failed) and atomically rewrite the manifest. A fingerprint recorded
+  /// twice keeps the first terminal record unless the new one is
+  /// Complete (completion supersedes a recorded failure — a scenario
+  /// that failed once and succeeded when re-dealt or resumed).
   void record(const ScenarioRun& run);
 
   /// The entries recorded so far, as a manifest value.

@@ -1,9 +1,10 @@
 // retry.h — the one failure model of the execution stack.
 //
 // Everything that retries, times out, or cancels in this codebase goes
-// through the three types here, so the batch campaign runner, the hmptd
-// scheduler, and the client tools agree on what "transient" means and
-// back off the same way:
+// through the three types here, so the hmptd scheduler and the client
+// tools agree on what "transient" means and back off the same way. (The
+// batch campaign runner does not retry: its scenarios are deterministic,
+// so a second attempt repeats the first one's error.)
 //
 //   * RetryPolicy — attempt budget, exponential backoff with
 //     *deterministic* seeded jitter (mix_seed + xoshiro, a pure function

@@ -13,7 +13,6 @@
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "common/error.h"
@@ -51,12 +50,6 @@ std::string replace_all(std::string text, const std::string& what,
     pos += with.size();
   }
   return text;
-}
-
-std::string format_seconds(double s) {
-  std::ostringstream os;
-  os << s;
-  return os.str();
 }
 
 /// One shard worker slot: a store directory that survives across child
@@ -101,14 +94,6 @@ std::vector<std::string> worker_args(const FleetOptions& options,
       std::to_string(options.worker_jobs),
   };
   if (options.keep_going) args.push_back("--keep-going");
-  if (options.attempts > 1) {
-    args.push_back("--retries");
-    args.push_back(std::to_string(options.attempts - 1));
-  }
-  if (options.scenario_timeout_s > 0.0) {
-    args.push_back("--scenario-timeout");
-    args.push_back(format_seconds(options.scenario_timeout_s));
-  }
   return args;
 }
 

@@ -64,10 +64,6 @@ struct FleetOptions {
   int max_deals = 3;
   /// Per-worker --jobs (concurrent scenarios inside one worker).
   int worker_jobs = 1;
-  /// Per-scenario attempts (1 = fail fast) and per-attempt deadline,
-  /// forwarded to workers as --retries/--scenario-timeout.
-  int attempts = 1;
-  double scenario_timeout_s = 0.0;
   /// Forwarded as --keep-going; also makes the dispatcher treat a worker
   /// exiting nonzero as a death to be stolen from rather than a fleet
   /// abort.

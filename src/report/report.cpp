@@ -85,7 +85,6 @@ std::string status_color(const std::string& status) {
   if (status == "executed") return "#059669";
   if (status == "cached") return "#2563eb";
   if (status == "failed") return "#dc2626";
-  if (status == "planned") return "#9ca3af";
   return "";
 }
 

@@ -35,7 +35,7 @@ namespace hmpt::report {
 struct TimelineSpan {
   std::string label;        ///< scenario label (workload/platform/...)
   std::string fingerprint;
-  std::string status;       ///< "executed"/"cached"/"failed"/"planned"/""
+  std::string status;       ///< "executed"/"cached"/"failed"/""
   std::string lane;         ///< recording thread's name, or "tid N"
   double start_ms = 0.0;    ///< since trace arm time
   double end_ms = 0.0;

@@ -111,21 +111,27 @@ TEST_F(CampaignCliTest, RunsResumesAndReproducesRunsCsv) {
 }
 
 TEST_F(CampaignCliTest, DryRunPrintsThePlanWithoutExecuting) {
-  ASSERT_EQ(run(matrix_flags() + " --dry-run"), 0) << slurp(out_);
-  const std::string dry = slurp(out_);
-  EXPECT_NE(dry.find("dry run: nothing executed"), std::string::npos);
-  // No store writes: the outcome directory was never even created.
-  EXPECT_FALSE(fs::exists(fs::path(store_) / "outcomes"));
-
   // The scenario listing of the dry run is exactly the plan a real run
   // prints before executing.
   const auto plan_of = [](const std::string& text) {
     return text.substr(0, text.find("\n\n"));
   };
-  const std::string dry_plan = plan_of(dry);
-  EXPECT_NE(dry_plan.find("fingerprint"), std::string::npos);
-  ASSERT_EQ(run(matrix_flags()), 0) << slurp(out_);
-  EXPECT_EQ(plan_of(slurp(out_)), dry_plan);
+  for (const std::string format : {"dir", "packed"}) {
+    SCOPED_TRACE(format);
+    remove_stores();
+    const std::string flags = matrix_flags() + " --store-format " + format;
+    ASSERT_EQ(run(flags + " --dry-run"), 0) << slurp(out_);
+    const std::string dry = slurp(out_);
+    EXPECT_NE(dry.find("dry run: nothing executed"), std::string::npos);
+    // No store writes in either layout, and no manifest.
+    for (const char* name : {"outcomes", "outcomes.log", "shard.manifest.json"})
+      EXPECT_FALSE(fs::exists(fs::path(store_) / name)) << name;
+
+    const std::string dry_plan = plan_of(dry);
+    EXPECT_NE(dry_plan.find("fingerprint"), std::string::npos);
+    ASSERT_EQ(run(flags), 0) << slurp(out_);
+    EXPECT_EQ(plan_of(slurp(out_)), dry_plan);
+  }
 }
 
 TEST_F(CampaignCliTest, CampaignFileDrivesTheMatrix) {
@@ -197,6 +203,16 @@ TEST_F(CampaignCliTest, ListingsAndUsage) {
       WEXITSTATUS(run("--workload mg --measure-jobs 2 --out " + store_)), 1);
   EXPECT_NE(slurp(out_).find("unknown option"), std::string::npos)
       << slurp(out_);
+  // A scenario is a deterministic simulation plus a store append, so
+  // there is nothing to retry or time out: both knobs are unknown.
+  for (const std::string flag : {"--retries 1", "--scenario-timeout 5"}) {
+    EXPECT_EQ(WEXITSTATUS(run("--workload mg " + flag + " --out " + store_)),
+              1)
+        << flag;
+    EXPECT_NE(slurp(out_).find("unknown option"), std::string::npos)
+        << slurp(out_);
+    EXPECT_NE(slurp(out_).find("usage:"), std::string::npos) << slurp(out_);
+  }
 }
 
 TEST_F(CampaignCliTest, ShardedRunsMergeToTheUnshardedArtifacts) {

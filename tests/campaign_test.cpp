@@ -1233,25 +1233,6 @@ class CampaignRunnerTest : public ::testing::Test {
   }
 };
 
-TEST_F(CampaignRunnerTest, DryRunPlansWithoutExecuting) {
-  StoreDir dir("hmpt_campaign_dry");
-  CampaignOptions options;
-  options.output_dir = dir.path();
-  options.dry_run = true;
-
-  const auto scenario_list = scenarios();
-  ASSERT_GE(scenario_list.size(), 12u);
-  const auto result = CampaignRunner(options).run(scenario_list);
-  EXPECT_EQ(result.planned, static_cast<int>(scenario_list.size()));
-  EXPECT_EQ(result.executed, 0);
-  EXPECT_TRUE(result.ok());
-  // Nothing was stored — a dry run never even creates the directories —
-  // and the dry-run plan is exactly the real plan.
-  EXPECT_FALSE(fs::exists(fs::path(dir.path()) / "outcomes"));
-  EXPECT_EQ(plan_table(scenario_list).to_text(),
-            plan_table(scenarios()).to_text());
-}
-
 TEST_F(CampaignRunnerTest, ResumeSkipsEverythingAndReproducesArtifacts) {
   StoreDir dir("hmpt_campaign_resume");
   CampaignOptions options;

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/campaign.h"
 #include "campaign/outcome_store.h"
 #include "campaign/workload_registry.h"
 #include "common/error.h"
@@ -405,35 +404,6 @@ TEST(JournalTest, DaemonReplaysJournaledJobsToCompletion) {
   EXPECT_EQ(again.replayed_jobs(), 0u);
   again.request_shutdown();
   ASSERT_TRUE(again.wait_for(10000));
-}
-
-// ------------------------------------------------- batch runner retries
-
-TEST(CampaignRetryTest, BatchRunnerAcceptsRetryOptionsAndRecordsAttempts) {
-  TempDir dir("hmpt_campaign_faults");
-  // The batch path has no provider seam; what it shares with the daemon
-  // is the retry loop itself (common/retry). A clean run under a retry
-  // budget must behave exactly like the fail-fast default — one attempt,
-  // recorded on the run but kept out of the deterministic artefacts.
-  campaign::CampaignOptions options;
-  options.output_dir = dir.path() + "/out";
-  options.attempts = 3;
-  options.scenario_timeout_s = 60.0;
-  const campaign::CampaignRunner runner(options);
-  const auto report = runner.run({scenario_with_reps(1)});
-  EXPECT_EQ(report.failed, 0);
-  EXPECT_EQ(report.executed, 1);
-  ASSERT_EQ(report.runs.size(), 1u);
-  EXPECT_EQ(report.runs[0].attempts, 1);
-}
-
-TEST(CampaignRetryTest, RunnerRejectsNonsenseRetryOptions) {
-  campaign::CampaignOptions options;
-  options.attempts = 0;
-  EXPECT_THROW(campaign::CampaignRunner{options}, Error);
-  options.attempts = 1;
-  options.scenario_timeout_s = -1.0;
-  EXPECT_THROW(campaign::CampaignRunner{options}, Error);
 }
 
 }  // namespace

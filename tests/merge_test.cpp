@@ -218,20 +218,6 @@ TEST(ShardManifestTest, JsonRoundTripsLosslessly) {
   EXPECT_THROW(ShardManifest::load(empty.path()), Error);
 }
 
-TEST(ShardManifestTest, MakeManifestRefusesDryRuns) {
-  ScenarioMatrix matrix;
-  matrix.workloads = {parse_workload_spec("mg")};
-  matrix.platforms = {"xeon-max"};
-  matrix.strategies = {"estimator"};
-  const auto scenarios = matrix.expand();
-
-  CampaignResult planned;
-  planned.runs.resize(1);
-  planned.runs[0].scenario = scenarios[0];
-  planned.runs[0].status = ScenarioRun::Status::Planned;
-  EXPECT_THROW(make_manifest(scenarios, {1, 1}, planned), Error);
-}
-
 // ------------------------------------------------------------------ merge
 
 /// Shared fixture: a small real campaign (4 scenarios, reps 1) run whole
@@ -684,12 +670,6 @@ TEST_F(MergeTest, ManifestProgressUnionsAcrossGenerationsAndUpgradesFailures) {
     ASSERT_EQ(on_disk.entries.size(), 2u);
     EXPECT_EQ(on_disk.entries[1].status, ShardEntryStatus::Failed);
     EXPECT_EQ(on_disk.entries[1].error, "boom");
-
-    // Dry-run entries have no durable state to record.
-    ScenarioRun planned;
-    planned.scenario = full[2];
-    planned.status = ScenarioRun::Status::Planned;
-    EXPECT_THROW(progress.record(planned), Error);
   }
 
   // Generation 2 (a relaunch on the same store) unions with generation

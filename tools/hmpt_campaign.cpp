@@ -15,7 +15,7 @@
 //                 [--sync-template T] [--straggler-after S]
 //                 [--poll-interval S] [--max-deals N]
 //                 [--resume] [--dry-run] [--keep-going] [--report]
-//                 [--jobs N] [--retries N] [--scenario-timeout S] [--quiet]
+//                 [--jobs N] [--quiet]
 //                 [--list-workloads] [--list-platforms]
 //
 // --resume skips every scenario whose fingerprint is already stored (a
@@ -145,11 +145,6 @@ void usage(const char* argv0) {
       << "                             byte-identical with or without it\n"
       << "  --jobs N                   concurrent scenarios (N >= 0;\n"
       << "                             0 = all hardware threads; default 1)\n"
-      << "  --retries N                retries per scenario after the first\n"
-      << "                             attempt (default 0 = fail fast);\n"
-      << "                             deterministic exponential backoff\n"
-      << "  --scenario-timeout S       per-attempt deadline in seconds\n"
-      << "                             (default 0 = none; cooperative)\n"
       << "  --quiet                    suppress per-scenario progress\n"
       << "  --list-workloads           print the workload registry and exit\n"
       << "  --list-platforms           print the platform catalogue and exit\n";
@@ -181,6 +176,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> matrix_flags;
   campaign::CampaignOptions options;
   campaign::ShardSpec shard;  // default 1/1 = the whole campaign
+  bool dry_run = false;  // print the plan and exit
   bool quiet = false;
   bool write_html_report = false;
   std::string trace_path;
@@ -249,16 +245,12 @@ int main(int argc, char** argv) {
     else if (arg == "--max-deals")
       fleet_options.max_deals = parse_int(argv[0], arg, fleet_value());
     else if (arg == "--resume") options.resume = true;
-    else if (arg == "--dry-run") options.dry_run = true;
+    else if (arg == "--dry-run") dry_run = true;
     else if (arg == "--keep-going") options.keep_going = true;
     else if (arg == "--report") write_html_report = true;
     else if (arg == "--trace") trace_path = next();
     else if (arg == "--jobs")
       options.scenario_jobs = parse_int(argv[0], arg, next());
-    else if (arg == "--retries")
-      options.attempts = 1 + parse_int(argv[0], arg, next());
-    else if (arg == "--scenario-timeout")
-      options.scenario_timeout_s = parse_double(argv[0], arg, next());
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--list-workloads") {
       std::cout << campaign::WorkloadRegistry::instance().list_text();
@@ -288,11 +280,6 @@ int main(int argc, char** argv) {
   }
   if (options.scenario_jobs < 0) {
     std::cerr << "--jobs must be >= 0\n";
-    usage(argv[0]);
-    return 1;
-  }
-  if (options.attempts < 1 || options.scenario_timeout_s < 0.0) {
-    std::cerr << "--retries and --scenario-timeout must be >= 0\n";
     usage(argv[0]);
     return 1;
   }
@@ -377,7 +364,7 @@ int main(int argc, char** argv) {
                                       : "assigned")
               << ": " << slice.size() << " scenarios";
   std::cout << "\n" << campaign::plan_table(slice).to_text();
-  if (options.dry_run) {
+  if (dry_run) {
     std::cout << "\ndry run: nothing executed\n";
     return 0;
   }
@@ -397,8 +384,6 @@ int main(int argc, char** argv) {
       fleet_options.output_dir = options.output_dir;
       fleet_options.store_format = options.store_format;
       fleet_options.worker_jobs = options.scenario_jobs;
-      fleet_options.attempts = options.attempts;
-      fleet_options.scenario_timeout_s = options.scenario_timeout_s;
       fleet_options.keep_going = options.keep_going;
       if (fleet_options.worker_bin.empty())
         fleet_options.worker_bin = self_exe_path();
